@@ -28,12 +28,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import data, engine, metrics, nn, refurbish, rng
+from . import data, engine, memorization, metrics, nn, refurbish, rng
 
 METHODS = ("default", "prestopping", "prestopping_plus")
 NOISES = ("none", "symmetric", "pair")
 HEURISTICS = ("validation", "noise_rate")
 Q_GRID = (1, 5, 10, 15, 20)
+# nn.OptimizerConfig field -> config key
+OPTIMIZER_KEYS = {"base_lr": "lr", "total_epochs": "epochs"}
 
 
 class ConfigError(ValueError):
@@ -126,20 +128,16 @@ class ExperimentConfig:
                 bad("validation_size", "validation heuristic needs a validation set")
         if any(h < 1 for h in self.hidden):
             bad("hidden", f"layer widths must be positive, got {self.hidden}")
-        if self.lr <= 0:
-            bad("lr", "must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            bad("momentum", f"must lie in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
-            bad("batch_size", "must be positive")
-        if self.epochs < 1:
-            bad("epochs", "must be positive")
-        if any(not 0.0 < p <= 1.0 for p in self.decay_points):
-            bad("decay_points", f"fractions must lie in (0, 1], got {self.decay_points}")
+        try:
+            self.optimizer()
+        except ValueError as exc:
+            # OptimizerConfig messages start with the offending field's name
+            field, _, msg = str(exc).partition(" ")
+            bad(OPTIMIZER_KEYS.get(field, field), msg)
         if self.decay_factor < 1.0:
             bad("decay_factor", "must be at least 1")
-        if self.q < 1:
-            bad("q", "history length must be positive")
+        if not 1 <= self.q <= memorization.MAX_Q:
+            bad("q", f"history length must lie in [1, {memorization.MAX_Q}], got {self.q}")
         if not 0.0 <= self.epsilon <= 1.0:
             bad("epsilon", f"must lie in [0, 1], got {self.epsilon}")
         if not self.seeds:
@@ -353,8 +351,9 @@ def cmd_grid_q(cfg: ExperimentConfig, grid: tuple) -> int:
     if cfg.method not in ("prestopping", "prestopping_plus"):
         raise ConfigError(f"method: grid-q needs prestopping or prestopping_plus, "
                           f"got {cfg.method!r}")
-    if not grid or any(qv < 1 for qv in grid):
-        raise ConfigError(f"grid: history lengths must be positive, got {grid}")
+    if not grid or any(not 1 <= qv <= memorization.MAX_Q for qv in grid):
+        raise ConfigError(f"grid: history lengths must lie in [1, {memorization.MAX_Q}], "
+                          f"got {grid}")
     all_summaries, all_failures = [], []
     for qv in grid:
         sub = replace(cfg, q=qv, out=str(Path(cfg.out) / f"q{qv}"))

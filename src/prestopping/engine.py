@@ -15,7 +15,7 @@ instrumentation layer through the observer callback.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,7 +85,7 @@ class EpochContext:
 
 @dataclass
 class StepRecord:
-    """Per-mini-batch trace of a safe-set update, for exact replay checks."""
+    """Per-mini-batch trace of one train_epoch update, for exact replay checks."""
     epoch: int
     indices: np.ndarray
     member_mask: np.ndarray
@@ -123,38 +123,30 @@ def _make_batches(n: int, batch_size: int, shuffle_rng: np.random.Generator):
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _standard_epoch(view: DataView, state, histories, config, epoch: int, seed: int):
-    """One epoch of plain mini-batch SGD, recording every forward prediction."""
-    shuffle = rng.stream(seed, "shuffle", epoch)
-    for idx in _make_batches(view.n, config.batch_size, shuffle):
-        _, grads, _, probs = nn.loss_grad_probs(view.features[idx], view.labels[idx], state)
-        histories.record_batch(idx, np.argmax(probs, axis=1))
-        nn.sgd_step(state, grads, config, epoch)
-    state.epoch = epoch
-
-
 def _snapshot_params(state):
     return ([w.copy() for w in state.weights], [b.copy() for b in state.biases],
             [v.copy() for v in state.vel_w], [v.copy() for v in state.vel_b])
 
 
-def _safe_set_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
-                    step_hook: Optional[StepHook] = None) -> bool:
-    """One Phase II epoch: gradients restricted to memorized batch members.
+def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
+                labels=None, member=None, step_hook: Optional[StepHook] = None) -> bool:
+    """One epoch of mini-batch SGD, recording every sample's forward prediction.
 
-    Membership is evaluated against the histories as they stand before the
-    batch's own predictions are recorded. Returns False when no batch in the
-    epoch contained a safe sample (no parameter update happened).
+    labels are the per-sample training labels (default: the view's). member,
+    an (n,) bool mask fixed for the epoch, restricts each batch's gradient to
+    its members and divides by their count; None trains on every sample.
+    Batches without members are only forward-passed. Returns True when at
+    least one batch updated the parameters.
     """
+    labels = view.labels if labels is None else labels
     shuffle = rng.stream(seed, "shuffle", epoch)
     updated = False
     for idx in _make_batches(view.n, config.batch_size, shuffle):
-        labels = view.labels[idx]
-        mask = histories.memorized_mask(labels, idx)
-        n_used = int(mask.sum())
+        mask = None if member is None else member[idx]
+        n_used = len(idx) if mask is None else int(mask.sum())
         before = _snapshot_params(state) if step_hook is not None else None
         if n_used > 0:
-            _, grads, _, probs = nn.loss_grad_probs(view.features[idx], labels, state,
+            _, grads, _, probs = nn.loss_grad_probs(view.features[idx], labels[idx], state,
                                                     sample_mask=mask, denom=n_used)
         else:
             probs = nn.forward(view.features[idx], state)
@@ -164,7 +156,8 @@ def _safe_set_epoch(view: DataView, state, histories, config, epoch: int, seed: 
             updated = True
         if step_hook is not None:
             after = _snapshot_params(state)
-            step_hook(StepRecord(epoch, idx.copy(), mask.copy(), n_used,
+            used = np.ones(len(idx), dtype=bool) if mask is None else mask.copy()
+            step_hook(StepRecord(epoch, idx.copy(), used, n_used,
                                  config.lr_at(epoch), *before, after[0], after[1]))
     state.epoch = epoch
     return updated
@@ -187,7 +180,7 @@ def phase1_train(view: DataView, heuristic: StopHeuristic, net_spec: nn.NetworkS
     best: Optional[Checkpoint] = None
     train_err = 1.0
     for epoch in range(1, config.total_epochs + 1):
-        _standard_epoch(view, state, histories, config, epoch, seed)
+        train_epoch(view, state, histories, config, epoch, seed)
         train_err = nn.evaluate_error(view.features, view.labels, state)
         val_err = None
         if heuristic.kind == "validation":
@@ -212,7 +205,7 @@ def run_default(view: DataView, net_spec: nn.NetworkSpec, config: nn.OptimizerCo
     state = nn.init_state(net_spec, rng.stream(seed, "init"), rng_seed=seed)
     histories = PredictionHistory(view.n, q, view.n_classes)
     for epoch in range(1, config.total_epochs + 1):
-        _standard_epoch(view, state, histories, config, epoch, seed)
+        train_epoch(view, state, histories, config, epoch, seed)
         if observer is not None:
             train_err = nn.evaluate_error(view.features, view.labels, state)
             observer(EpochContext("phase1", epoch, state, histories,
@@ -237,7 +230,11 @@ def phase2_train(checkpoint: Checkpoint, view: DataView, config: nn.OptimizerCon
     state = checkpoint.state.copy()
     histories = checkpoint.histories.copy()
     for epoch in range(checkpoint.epoch, config.total_epochs + 1):
-        updated = _safe_set_epoch(view, state, histories, config, epoch, seed, step_hook)
+        # membership depends only on each sample's own history, and batches
+        # partition the epoch, so the epoch-start mask is each batch's mask
+        member = histories.memorized_mask(view.labels)
+        updated = train_epoch(view, state, histories, config, epoch, seed,
+                              member=member, step_hook=step_hook)
         if not updated:
             warnings.warn(f"epoch {epoch}: safe set empty for every batch, "
                           f"no parameter update", RuntimeWarning)

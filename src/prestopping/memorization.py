@@ -9,11 +9,11 @@ frequencies use the current history length as denominator.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 HISTORY_MAGIC = b"PSTH1"
+MAX_Q = 255  # history entries and lengths are stored as single bytes
 
 
 class PredictionHistory:
@@ -24,8 +24,8 @@ class PredictionHistory:
             raise ValueError(f"need n_samples >= 1 and q >= 1, got {n_samples}, {q}")
         if not 2 <= n_classes <= 256:
             raise ValueError(f"n_classes must be in [2, 256], got {n_classes}")
-        if q > 255:
-            raise ValueError(f"q must fit in a byte, got {q}")
+        if q > MAX_Q:
+            raise ValueError(f"q must be at most {MAX_Q}, got {q}")
         self.n_samples = int(n_samples)
         self.q = int(q)
         self.n_classes = int(n_classes)
@@ -164,25 +164,6 @@ class PredictionHistory:
         if off != len(raw):
             raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
         return hist
-
-
-@dataclass
-class MemorizationState:
-    """Memorization snapshot over a training set at one point in time."""
-    memorized: np.ndarray            # (n,) bool
-    label_probs: np.ndarray | None = None  # (n, k) history frequencies, optional
-
-
-def compute_memorization(history: PredictionHistory, noisy_labels,
-                         with_probs: bool = False) -> MemorizationState:
-    """Memorization mask (and optionally frequency vectors) for the whole set."""
-    mask = history.memorized_mask(noisy_labels)
-    probs = None
-    if with_probs:
-        counts = history.label_counts()
-        fill = np.maximum(history._fill, 1)  # empty rows stay all-zero
-        probs = counts / fill[:, None]
-    return MemorizationState(mask, probs)
 
 
 def mp_mr(memorized, noisy_labels, true_labels) -> tuple[float, float]:

@@ -7,7 +7,7 @@ NetworkState that is exclusively owned by one training run.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,54 +194,39 @@ def _backprop(acts, delta, state: NetworkState):
     return grad_w, grad_b
 
 
-def _loss_grad_core(features, labels, state: NetworkState, sample_mask=None, denom=None):
-    """Shared gradient path for plain and sample-masked batches.
+def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, denom=None):
+    """Training-loop entry point: loss, gradient and forward probabilities.
 
-    Plain: mean cross-entropy over the batch. Masked: excluded samples
-    contribute exactly zero and the sum is divided by denom instead of the
-    batch size, which realizes training restricted to a sample subset.
+    The loss is the cross-entropy summed over sample_mask members (every
+    sample when no mask is given) and divided by denom, which defaults to the
+    batch size and must be given with a mask. Excluded samples contribute
+    exactly zero, which realizes training restricted to a sample subset.
     Returns (loss, (grad_w, grad_b), per_sample_losses, probs).
     """
     labels = _check_labels(labels, state.spec.n_classes)
+    n = len(labels)
+    if n == 0:
+        raise ValueError("cannot take a gradient over an empty batch")
+    if denom is None and sample_mask is None:
+        denom = n
+    if denom is None or denom <= 0:
+        raise ValueError(f"gradient needs a positive denom, got {denom}")
     logits, acts = _forward_cache(features, state)
     probs = _softmax(logits)
     per_sample = _per_sample_ce(logits, labels)
-    n = len(labels)
     delta = probs.copy()
     delta[np.arange(n), labels] -= 1.0
-    if sample_mask is None:
-        loss = float(per_sample.mean())
-        delta /= float(n)
-    else:
+    used = per_sample
+    if sample_mask is not None:
         sample_mask = np.asarray(sample_mask)
         if sample_mask.shape != (n,):
             raise ValueError(f"sample_mask must have shape ({n},), got {sample_mask.shape}")
-        if denom is None or denom <= 0:
-            raise ValueError(f"masked gradient needs a positive denom, got {denom}")
         delta *= sample_mask.astype(np.float64)[:, None]
-        delta /= float(denom)
-        loss = float(per_sample[sample_mask.astype(bool)].sum()) / float(denom)
+        used = per_sample[sample_mask.astype(bool)]
+    delta /= float(denom)
+    loss = float(used.sum()) / float(denom)
     grad_w, grad_b = _backprop(acts, delta, state)
     return loss, (grad_w, grad_b), per_sample, probs
-
-
-def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, denom=None):
-    """Training-loop entry point: gradient terms plus the forward probabilities."""
-    return _loss_grad_core(features, labels, state, sample_mask, denom)
-
-
-def loss_and_grad(batch: Batch, state: NetworkState):
-    """Mean cross-entropy loss, its exact gradient, and per-sample losses."""
-    if len(batch.labels) == 0:
-        raise ValueError("cannot take a gradient over an empty batch")
-    loss, grads, per_sample, _ = _loss_grad_core(batch.features, batch.labels, state)
-    return loss, grads, per_sample
-
-
-def masked_loss_and_grad(features, labels, sample_mask, denom, state: NetworkState):
-    """Gradient of the summed loss over mask members divided by denom."""
-    loss, grads, per_sample, _ = _loss_grad_core(features, labels, state, sample_mask, denom)
-    return loss, grads, per_sample
 
 
 def sgd_step(state: NetworkState, grads, config: OptimizerConfig, epoch: int) -> NetworkState:

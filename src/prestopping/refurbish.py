@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import nn, rng
 from .data import DataView
-from .engine import EpochContext, Observer, _make_batches
+from .engine import EpochContext, Observer, train_epoch
 from .memorization import PredictionHistory
 
 
@@ -81,31 +81,16 @@ def refurbish_candidates(histories: PredictionHistory,
     return RefurbishedSet(labels, ent, mask)
 
 
-def prestopping_plus_step(batch: nn.Batch, refurb: RefurbishedSet, trusted_mask,
-                          state: nn.NetworkState, config: nn.OptimizerConfig,
-                          epoch: int):
-    """One mixed update: refurbished labels for refurbished samples, training
-    labels for trusted ones, loss divided by the union's batch count.
+def epoch_targets(refurb: RefurbishedSet, trusted_mask, noisy_labels):
+    """(training labels, member mask) of one Prestopping+ epoch.
 
-    Returns (state, n_used, loss, probs); probs cover the whole batch so the
-    caller can record predictions. Skips the update when the union is empty.
+    Refurbished samples train on their refurbished label, trusted ones on
+    their training label; every other sample is excluded from the gradient.
     """
     trusted_mask = np.asarray(trusted_mask, dtype=bool)
     if np.any(refurb.mask & trusted_mask):
         raise ValueError("refurbished set overlaps the trusted set")
-    idx = batch.indices
-    r_here = refurb.mask[idx]
-    t_here = trusted_mask[idx]
-    labels = batch.labels.copy()
-    labels[r_here] = refurb.labels[idx][r_here]
-    union = r_here | t_here
-    n_used = int(union.sum())
-    if n_used == 0:
-        return state, 0, 0.0, nn.forward(batch.features, state)
-    loss, grads, _, probs = nn.loss_grad_probs(batch.features, labels, state,
-                                               sample_mask=union, denom=n_used)
-    nn.sgd_step(state, grads, config, epoch)
-    return state, n_used, loss, probs
+    return np.where(refurb.mask, refurb.labels, noisy_labels), trusted_mask | refurb.mask
 
 
 @dataclass
@@ -129,16 +114,9 @@ def run_prestopping_plus(view: DataView, trusted_indices, net_spec: nn.NetworkSp
     state = nn.init_state(net_spec, rng.stream(seed, "plus_init"), rng_seed=seed)
     histories = PredictionHistory(view.n, q, view.n_classes)
     for epoch in range(1, config.total_epochs + 1):
-        refurb = refurbish_candidates(histories, rcfg)
-        shuffle = rng.stream(seed, "shuffle", epoch)
-        updated = False
-        for idx in _make_batches(view.n, config.batch_size, shuffle):
-            batch = nn.Batch(idx, view.features[idx], view.labels[idx])
-            _, n_used, _, probs = prestopping_plus_step(batch, refurb, trusted_mask,
-                                                        state, config, epoch)
-            histories.record_batch(idx, np.argmax(probs, axis=1))
-            updated = updated or n_used > 0
-        state.epoch = epoch
+        labels, member = epoch_targets(refurbish_candidates(histories, rcfg),
+                                       trusted_mask, view.labels)
+        updated = train_epoch(view, state, histories, config, epoch, seed, labels, member)
         if not updated:
             warnings.warn(f"epoch {epoch}: trusted and refurbished sets both empty "
                           f"for every batch", RuntimeWarning)

@@ -56,17 +56,16 @@ def test_c01_gradients_match_finite_differences():
         while _kink_margin(state, x) < 1e-3:
             x = g.normal(size=(n, sizes[0])) * 2.0
         y = g.integers(0, sizes[-1], size=n)
-        batch = nn.Batch(np.arange(n), x, y)
-        _, (gw, gb), _ = nn.loss_and_grad(batch, state)
+        _, (gw, gb), _, _ = nn.loss_grad_probs(x, y, state)
         for kind, arrs, grads in (("w", state.weights, gw), ("b", state.biases, gb)):
             for arr, grad in zip(arrs, grads):
                 flat, gflat = arr.ravel(), grad.ravel()
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + h
-                    lp, _, _ = nn.loss_and_grad(batch, state)
+                    lp = nn.loss_grad_probs(x, y, state)[0]
                     flat[i] = orig - h
-                    lm, _, _ = nn.loss_and_grad(batch, state)
+                    lm = nn.loss_grad_probs(x, y, state)[0]
                     flat[i] = orig
                     worst = max(worst, _rel_err(gflat[i], (lp - lm) / (2 * h)))
     elapsed = time.perf_counter() - t0
@@ -290,32 +289,40 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
     assert all(np.array_equal(x, y) for x, y in zip(w, plus.final_state.weights))
     assert all(np.array_equal(x, y) for x, y in zip(b_, plus.final_state.biases))
 
-    # (b) ten epochs of the plus step with an explicitly empty refurbished set
-    # match both the library's masked phase-II update and the oracle, stepwise
+    # (b) ten plus epochs on the targets of an explicitly empty refurbished
+    # set match both the library's masked phase-II update and the oracle,
+    # stepwise
     empty = refurbish.RefurbishedSet.empty(view.n)
+    labels, member = refurbish.epoch_targets(empty, trusted, view.labels)
     state_a = nn.init_state(net, rng.stream(8, "plus_init"), rng_seed=8)
     state_b = state_a.copy()
+    hist_a = mem.PredictionHistory(view.n, 4, 3)
     w, b_ = [a.copy() for a in state_a.weights], [a.copy() for a in state_a.biases]
     vw = [np.zeros_like(a) for a in w]
     vb = [np.zeros_like(a) for a in b_]
     steps = 0
     for epoch in range(1, 11):
+        records = []
+        engine.train_epoch(view, state_a, hist_a, cfg, epoch, 8, labels, member,
+                           step_hook=records.append)
         shuffle = rng.stream(8, "shuffle", epoch)
-        for idx in engine._make_batches(view.n, 64, shuffle):
-            batch = nn.Batch(idx, view.features[idx], view.labels[idx])
-            _, n_used, loss, _ = refurbish.prestopping_plus_step(
-                batch, empty, trusted, state_a, cfg, epoch)
+        batches = engine._make_batches(view.n, 64, shuffle)
+        assert len(records) == len(batches)
+        for rec, idx in zip(records, batches):
+            assert np.array_equal(rec.indices, idx)
             mask = trusted[idx]
+            n_used = rec.n_used
             assert n_used == int(mask.sum())
             if n_used:
-                _, grads, _ = nn.masked_loss_and_grad(batch.features, batch.labels,
-                                                      mask, n_used, state_b)
+                _, grads, _, _ = nn.loss_grad_probs(view.features[idx], view.labels[idx],
+                                                    state_b, sample_mask=mask,
+                                                    denom=n_used)
                 nn.sgd_step(state_b, grads, cfg, epoch)
-            w, b_, vw, vb, _ = straight_line_step(w, b_, vw, vb, batch.features,
-                                                  batch.labels, mask, n_used,
+            w, b_, vw, vb, _ = straight_line_step(w, b_, vw, vb, view.features[idx],
+                                                  view.labels[idx], mask, n_used,
                                                   cfg.lr_at(epoch), cfg.momentum)
-            for got, via_lib, via_oracle in ((state_a.weights, state_b.weights, w),
-                                             (state_a.biases, state_b.biases, b_)):
+            for got, via_lib, via_oracle in ((rec.weights_after, state_b.weights, w),
+                                             (rec.biases_after, state_b.biases, b_)):
                 assert all(np.array_equal(x, y) for x, y in zip(got, via_lib))
                 assert all(np.array_equal(x, y) for x, y in zip(got, via_oracle))
             steps += 1
@@ -324,9 +331,7 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
     overlap = refurbish.RefurbishedSet(np.full(view.n, 1, dtype=np.int64),
                                        np.zeros(view.n), trusted.copy())
     try:
-        refurbish.prestopping_plus_step(nn.Batch(np.arange(4), view.features[:4],
-                                                 view.labels[:4]),
-                                        overlap, trusted, state_a.copy(), cfg, 1)
+        refurbish.epoch_targets(overlap, trusted, view.labels)
         raise AssertionError("overlapping refurbished/trusted sets were accepted")
     except ValueError:
         pass
@@ -346,19 +351,37 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
     cand = refurbish.refurbish_candidates(hist, refurbish.RefurbishConfig(0.0, trusted))
     idx = np.concatenate([np.nonzero(cand.mask)[0][:2], trusted_idx[:3],
                           np.nonzero(~cand.mask & ~trusted)[0][:3]])
-    batch = nn.Batch(idx, view.features[idx], view.labels[idx])
+    labels, member = refurbish.epoch_targets(cand, trusted, view.labels)
+    sub = data.DataView(view.features[idx], view.labels[idx], view.n_classes)
     state = nn.init_state(net, rng.stream(9, "init"), rng_seed=9)
-    _, n_used, got_loss, _ = refurbish.prestopping_plus_step(
-        batch, cand, trusted, state.copy(), cfg, 1)
+    records = []
+    engine.train_epoch(sub, state.copy(), mem.PredictionHistory(len(idx), 4, 3), cfg,
+                       1, 9, labels[idx], member[idx], step_hook=records.append)
+    (rec,) = records
+    n_used = rec.n_used
     assert n_used == 5
-    probs, _ = straight_line_forward(state.weights, state.biases, batch.features)
+    got_loss = nn.loss_grad_probs(sub.features, labels[idx], state,
+                                  sample_mask=member[idx], denom=n_used)[0]
+    probs, _ = straight_line_forward(state.weights, state.biases, sub.features)
     total = 0.0
+    want_labels, want_mask = view.labels[idx].copy(), np.zeros(len(idx), dtype=bool)
     for row, i in enumerate(idx):
         if cand.mask[i]:
             total += -np.log(probs[row, cand.labels[i]])
+            want_labels[row], want_mask[row] = cand.labels[i], True
         elif trusted[i]:
             total += -np.log(probs[row, view.labels[i]])
+            want_mask[row] = True
     assert got_loss == float(total) / 5
+    # the same batch through the epoch loop: one update with the substituted
+    # labels, divided by the union count
+    order = rec.indices
+    w, b_, _, _, _ = straight_line_step(state.weights, state.biases, state.vel_w,
+                                        state.vel_b, sub.features[order],
+                                        want_labels[order], want_mask[order], 5,
+                                        cfg.lr_at(1), cfg.momentum)
+    assert all(np.array_equal(x, y) for x, y in zip(w + b_,
+                                                    rec.weights_after + rec.biases_after))
     print(f"ACCEPTANCE 09 PASS - empty-refurbishment collapse bitwise over "
           f"{steps} steps, disjointness enforced, mixed loss exact")
 

@@ -61,10 +61,17 @@ def test_shipped_default_config_is_valid():
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    rc = cli.main(["run", "--method", "prestopping", "--heuristic", "noise_rate",
-                   "--noise", "none", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "tau" in capsys.readouterr().err
+    # each bad value must surface as a config error naming its key, not as
+    # failed runs
+    for flags, key in [
+        (["--method", "prestopping", "--heuristic", "noise_rate", "--noise", "none"], "tau"),
+        (["--q", "300"], "q"),
+        (["--decay_points", "1.0"], "decay_points"),
+        (["--decay_points", "0.75,0.5"], "decay_points"),
+    ]:
+        rc = cli.main(["run"] + flags + ["--out", str(tmp_path)])
+        assert rc == 2, flags
+        assert f"config error: {key}:" in capsys.readouterr().err, flags
 
 
 # ----- run subcommand -----
@@ -123,21 +130,45 @@ def test_noise_rate_runs_leave_validation_blank(tmp_path):
         assert rc == 1  # stop point never reached is a run failure, not a crash
 
 
-def test_rerun_is_bit_identical(tmp_path):
+# artifacts each method must write besides metrics.csv, summary.json, plots.gp
+METHOD_ARTIFACTS = {
+    "default": set(),
+    "prestopping": {"checkpoint_net.pstp", "checkpoint_hist.psth"},
+    "prestopping_plus": {"checkpoint_net.pstp", "checkpoint_hist.psth", "refurbished.csv"},
+}
+
+
+def seed_dir_contents(root, method, seed):
+    """{file name: bytes} of one seed directory; summary.json without wall_seconds."""
+    contents = {}
+    for path in sorted((root / method / "pair_0.3" / f"seed{seed}").iterdir()):
+        raw = path.read_bytes()
+        if path.name == "summary.json":
+            doc = json.loads(raw)
+            for run in doc["runs"]:
+                del run["wall_seconds"]
+            raw = json.dumps(doc, sort_keys=True).encode()
+        contents[path.name] = raw
+    assert METHOD_ARTIFACTS[method] | {"metrics.csv", "summary.json", "plots.gp"} \
+        <= contents.keys()
+    return contents
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_ARTIFACTS))
+def test_rerun_is_bit_identical(tmp_path, method):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["run"] + tiny_flags(a, seeds="0")) == 0
-    assert cli.main(["run"] + tiny_flags(b, seeds="0")) == 0
-    rel = "prestopping/pair_0.3/seed0/metrics.csv"
-    assert (a / rel).read_bytes() == (b / rel).read_bytes()
+    assert cli.main(["run"] + tiny_flags(a, seeds="0", method=method)) == 0
+    assert cli.main(["run"] + tiny_flags(b, seeds="0", method=method)) == 0
+    assert seed_dir_contents(a, method, 0) == seed_dir_contents(b, method, 0)
 
 
-def test_parallel_matches_serial(tmp_path):
+@pytest.mark.parametrize("method", sorted(METHOD_ARTIFACTS))
+def test_parallel_matches_serial(tmp_path, method):
     a, b = tmp_path / "serial", tmp_path / "par"
-    assert cli.main(["run"] + tiny_flags(a, seeds="0,1", jobs=1)) == 0
-    assert cli.main(["run"] + tiny_flags(b, seeds="0,1", jobs=2)) == 0
+    assert cli.main(["run"] + tiny_flags(a, seeds="0,1", jobs=1, method=method)) == 0
+    assert cli.main(["run"] + tiny_flags(b, seeds="0,1", jobs=2, method=method)) == 0
     for seed in (0, 1):
-        rel = f"prestopping/pair_0.3/seed{seed}/metrics.csv"
-        assert (a / rel).read_bytes() == (b / rel).read_bytes()
+        assert seed_dir_contents(a, method, seed) == seed_dir_contents(b, method, seed)
 
 
 def test_failing_seed_does_not_stop_others(tmp_path, monkeypatch, capsys):

@@ -32,9 +32,8 @@ def test_synth_spread_zero_is_linearly_separable():
         assert np.linalg.norm(block[0]) == pytest.approx(1.0, abs=1e-12)
     state = nn.init_state(nn.NetworkSpec((8, 2)), rng.stream(0, "init"))
     cfg = nn.OptimizerConfig(base_lr=0.5, momentum=0.0, total_epochs=100)
-    batch = nn.Batch(np.arange(ds.n), ds.features, ds.true_labels)
     for _ in range(50):
-        _, grads, _ = nn.loss_and_grad(batch, state)
+        _, grads, _, _ = nn.loss_grad_probs(ds.features, ds.true_labels, state)
         nn.sgd_step(state, grads, cfg, epoch=1)
     assert nn.evaluate_error(ds.features, ds.true_labels, state) == 0.0
 

@@ -169,7 +169,7 @@ def test_phase2_full_safe_set_step_equals_standard_step():
     got, safe, _ = engine.phase2_train(ckpt, view, cfg, seed=21)
     want = state.copy()
     want_hist = hist.copy()
-    engine._standard_epoch(view, want, want_hist, cfg, epoch=4, seed=21)
+    engine.train_epoch(view, want, want_hist, cfg, epoch=4, seed=21)
     assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
     assert all(np.array_equal(a, b) for a, b in zip(got.biases, want.biases))
 

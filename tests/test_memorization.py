@@ -172,17 +172,6 @@ def test_mp_mr_matches_set_arithmetic_oracle():
 
 # ----- bulk state -----
 
-def test_compute_memorization_probs():
-    h = mem.PredictionHistory(3, q=4, n_classes=3)
-    h.record(0, 1)
-    h.record(0, 1)
-    h.record(1, 2)
-    state = mem.compute_memorization(h, np.array([1, 0, 0]), with_probs=True)
-    assert np.array_equal(state.memorized, [True, False, False])
-    assert state.label_probs[0, 1] == 1.0
-    assert np.array_equal(state.label_probs[2], [0, 0, 0])  # empty history row
-
-
 def test_record_batch_validation():
     h = mem.PredictionHistory(5, q=3, n_classes=3)
     with pytest.raises(ValueError):

@@ -18,12 +18,11 @@ def rel_err(a, b):
 
 def numeric_grad(features, labels, state, arr, idx, h=1e-5):
     """Central finite difference of the mean loss wrt one parameter entry."""
-    batch = nn.Batch(np.arange(len(labels)), features, labels)
     orig = arr[idx]
     arr[idx] = orig + h
-    lp, _, _ = nn.loss_and_grad(batch, state)
+    lp = nn.loss_grad_probs(features, labels, state)[0]
     arr[idx] = orig - h
-    lm, _, _ = nn.loss_and_grad(batch, state)
+    lm = nn.loss_grad_probs(features, labels, state)[0]
     arr[idx] = orig
     return (lp - lm) / (2.0 * h)
 
@@ -145,8 +144,7 @@ def test_zero_weight_loss_is_log_k():
     state = small_state()
     for w in state.weights:
         w[:] = 0.0
-    batch = nn.Batch([0, 1], GOLDEN_INPUT, [3, 1])
-    loss, _, per_sample = nn.loss_and_grad(batch, state)
+    loss, _, per_sample, _ = nn.loss_grad_probs(GOLDEN_INPUT, [3, 1], state)
     assert loss == pytest.approx(np.log(4.0), rel=1e-12)
     assert np.allclose(per_sample, np.log(4.0), atol=1e-12)
 
@@ -154,8 +152,7 @@ def test_zero_weight_loss_is_log_k():
 def test_per_sample_loss_is_neg_log_prob():
     state = small_state()
     labels = np.array([2, 0])
-    batch = nn.Batch([0, 1], GOLDEN_INPUT, labels)
-    _, _, per_sample = nn.loss_and_grad(batch, state)
+    _, _, per_sample, _ = nn.loss_grad_probs(GOLDEN_INPUT, labels, state)
     probs = nn.forward(GOLDEN_INPUT, state)
     expect = -np.log(probs[np.arange(2), labels])
     assert np.allclose(per_sample, expect, atol=1e-12)
@@ -164,9 +161,9 @@ def test_per_sample_loss_is_neg_log_prob():
 def test_loss_rejects_out_of_range_labels():
     state = small_state()
     with pytest.raises(ValueError):
-        nn.loss_and_grad(nn.Batch([0, 1], GOLDEN_INPUT, [0, 4]), state)
-    with pytest.raises(ValueError):
-        nn.loss_and_grad(nn.Batch(np.empty(0), np.empty((0, 3)), np.empty(0)), state)
+        nn.loss_grad_probs(GOLDEN_INPUT, [0, 4], state)
+    with pytest.raises(ValueError, match="empty batch"):
+        nn.loss_grad_probs(np.empty((0, 3)), np.empty(0, dtype=int), state)
 
 
 # ----- gradient oracle -----
@@ -197,8 +194,7 @@ def test_gradient_matches_central_differences():
         while not away_from_kinks(x, state):
             x = meta.normal(size=(b, sizes[0])) * 2.0
         y = meta.integers(0, sizes[-1], size=b)
-        batch = nn.Batch(np.arange(b), x, y)
-        _, (gw, gb), _ = nn.loss_and_grad(batch, state)
+        _, (gw, gb), _, _ = nn.loss_grad_probs(x, y, state)
         for _ in range(20):
             layer = int(meta.integers(0, len(state.weights)))
             if meta.random() < 0.8:
@@ -219,9 +215,8 @@ def test_masked_gradient_zero_mask_rows_do_not_leak():
     x = rng.stream(3, "x").normal(size=(6, 3))
     y = np.array([0, 1, 2, 3, 0, 1])
     mask = np.array([True, False, True, False, True, False])
-    _, (gw, gb), _ = nn.masked_loss_and_grad(x, y, mask, 3, state)
-    sub = nn.Batch(np.arange(3), x[mask], y[mask])
-    _, (gw2, gb2), _ = nn.loss_and_grad(sub, state)
+    _, (gw, gb), _, _ = nn.loss_grad_probs(x, y, state, sample_mask=mask, denom=3)
+    _, (gw2, gb2), _, _ = nn.loss_grad_probs(x[mask], y[mask], state)
     for a, b in zip(gw + gb, gw2 + gb2):
         assert np.allclose(a, b, atol=1e-14)
 
@@ -230,9 +225,9 @@ def test_masked_gradient_full_mask_is_bitwise_plain():
     state = small_state(13)
     x = rng.stream(4, "x").normal(size=(5, 3))
     y = np.array([0, 1, 2, 3, 1])
-    batch = nn.Batch(np.arange(5), x, y)
-    l1, (gw1, gb1), ps1 = nn.loss_and_grad(batch, state)
-    l2, (gw2, gb2), ps2 = nn.masked_loss_and_grad(x, y, np.ones(5, dtype=bool), 5, state)
+    l1, (gw1, gb1), ps1, _ = nn.loss_grad_probs(x, y, state)
+    l2, (gw2, gb2), ps2, _ = nn.loss_grad_probs(x, y, state,
+                                                sample_mask=np.ones(5, dtype=bool), denom=5)
     assert l1 == l2
     assert np.array_equal(ps1, ps2)
     for a, b in zip(gw1 + gb1, gw2 + gb2):
@@ -242,7 +237,8 @@ def test_masked_gradient_full_mask_is_bitwise_plain():
 def test_masked_gradient_requires_positive_denom():
     state = small_state()
     with pytest.raises(ValueError):
-        nn.masked_loss_and_grad(GOLDEN_INPUT, [0, 1], np.zeros(2, dtype=bool), 0, state)
+        nn.loss_grad_probs(GOLDEN_INPUT, [0, 1], state,
+                           sample_mask=np.zeros(2, dtype=bool), denom=0)
 
 
 # ----- optimizer -----
@@ -278,10 +274,9 @@ def test_full_batch_loss_non_increasing_on_separable_toy():
     y = np.array([0] * 20 + [1] * 20)
     state = nn.init_state(nn.NetworkSpec((2, 8, 2)), rng.stream(0, "init"))
     cfg = nn.OptimizerConfig(base_lr=0.01, momentum=0.0, total_epochs=1000)
-    batch = nn.Batch(np.arange(40), x, y)
     losses = []
     for _ in range(50):
-        loss, grads, _ = nn.loss_and_grad(batch, state)
+        loss, grads, _, _ = nn.loss_grad_probs(x, y, state)
         losses.append(loss)
         nn.sgd_step(state, grads, cfg, epoch=1)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -306,10 +301,10 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     state = small_state(99)
     # make momentum buffers non-trivial before saving
     g = rng.stream(1, "x")
-    batch = nn.Batch(np.arange(8), g.normal(size=(8, 3)), g.integers(0, 4, size=8))
+    x, y = g.normal(size=(8, 3)), g.integers(0, 4, size=8)
     cfg = nn.OptimizerConfig()
     for _ in range(3):
-        _, grads, _ = nn.loss_and_grad(batch, state)
+        _, grads, _, _ = nn.loss_grad_probs(x, y, state)
         nn.sgd_step(state, grads, cfg, epoch=1)
     path = tmp_path / "net.pstp"
     nn.save_network(state, path)

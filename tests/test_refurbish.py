@@ -1,4 +1,4 @@
-"""Refurbishment: entropy rule, candidate selection, mixed-batch updates."""
+"""Refurbishment: entropy rule, candidate selection, mixed-batch epochs."""
 
 import warnings
 
@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from helpers import straight_line_forward, straight_line_step
-from prestopping import data, memorization as mem, nn, refurbish, rng
+from prestopping import data, engine, memorization as mem, nn, refurbish, rng
 
 
 def hist_with(sequences, q=4, k=4):
@@ -104,63 +104,70 @@ def test_candidates_reject_length_mismatch():
         refurbish.refurbish_candidates(h, refurbish.RefurbishConfig(0.1, np.zeros(2, bool)))
 
 
-# ----- mixed-batch step -----
+# ----- mixed-batch epoch -----
 
 def mixed_setup(seed=9):
     g = rng.stream(seed, "mix")
-    x = g.normal(size=(8, 4))
-    noisy = g.integers(0, 3, size=8)
+    view = data.DataView(g.normal(size=(8, 4)), g.integers(0, 3, size=8), 3)
     state = nn.init_state(nn.NetworkSpec((4, 6, 3)), rng.stream(seed, "init"))
     cfg = nn.OptimizerConfig(base_lr=0.1, momentum=0.9, batch_size=8, total_epochs=10)
-    batch = nn.Batch(np.arange(8), x, noisy)
-    return batch, state, cfg
+    return view, state, cfg
 
 
 def test_mixed_batch_denominator_and_loss():
     # 3 trusted + 2 refurbished members of an 8-sample batch: denominator 5,
     # loss = (refurbished-label losses + trusted-label losses) / 5
-    batch, state, cfg = mixed_setup()
+    view, state, cfg = mixed_setup()
     trusted = np.zeros(8, dtype=bool)
     trusted[[0, 1, 2]] = True
     refurb = refurbish.RefurbishedSet.empty(8)
     refurb.mask[[3, 4]] = True
-    refurb.labels[[3, 4]] = [(batch.labels[3] + 1) % 3, (batch.labels[4] + 2) % 3]
+    refurb.labels[[3, 4]] = [(view.labels[3] + 1) % 3, (view.labels[4] + 2) % 3]
+    labels, member = refurbish.epoch_targets(refurb, trusted, view.labels)
+    assert np.array_equal(member, trusted | refurb.mask)
+    assert np.array_equal(labels[[3, 4]], refurb.labels[[3, 4]])
+    assert np.array_equal(np.delete(labels, [3, 4]), np.delete(view.labels, [3, 4]))
     before = state.copy()
-    _, n_used, loss, probs = refurbish.prestopping_plus_step(
-        batch, refurb, trusted, state, cfg, epoch=1)
-    assert n_used == 5
-    oracle_probs, _ = straight_line_forward(before.weights, before.biases, batch.features)
+    loss = nn.loss_grad_probs(view.features, labels, before, sample_mask=member, denom=5)[0]
+    oracle_probs, _ = straight_line_forward(before.weights, before.biases, view.features)
     want = sum(-np.log(oracle_probs[i, refurb.labels[i]]) for i in (3, 4))
-    want += sum(-np.log(oracle_probs[i, batch.labels[i]]) for i in (0, 1, 2))
+    want += sum(-np.log(oracle_probs[i, view.labels[i]]) for i in (0, 1, 2))
     assert loss == pytest.approx(want / 5, rel=1e-12)
     # excluded samples (5, 6, 7) influenced nothing: replay the update without them
+    records = []
+    hist = mem.PredictionHistory(8, 2, 3)
+    assert engine.train_epoch(view, state, hist, cfg, 1, 9, labels, member,
+                              step_hook=records.append)
+    (rec,) = records
+    assert rec.n_used == 5
+    idx = rec.indices
     new_w, new_b, _, _, _ = straight_line_step(
         before.weights, before.biases, before.vel_w, before.vel_b,
-        batch.features, np.where(refurb.mask, refurb.labels, batch.labels),
-        trusted | refurb.mask, 5, cfg.lr_at(1), cfg.momentum)
+        view.features[idx], np.where(refurb.mask, refurb.labels, view.labels)[idx],
+        (trusted | refurb.mask)[idx], 5, cfg.lr_at(1), cfg.momentum)
     for a, b in zip(new_w + new_b, state.weights + state.biases):
         assert np.array_equal(a, b)
 
 
 def test_step_rejects_overlapping_sets():
-    batch, state, cfg = mixed_setup()
+    view, _, _ = mixed_setup()
     trusted = np.zeros(8, dtype=bool)
     trusted[0] = True
     refurb = refurbish.RefurbishedSet.empty(8)
     refurb.mask[0] = True
     refurb.labels[0] = 1
     with pytest.raises(ValueError):
-        refurbish.prestopping_plus_step(batch, refurb, trusted, state, cfg, 1)
+        refurbish.epoch_targets(refurb, trusted, view.labels)
 
 
 def test_step_with_empty_union_skips_update():
-    batch, state, cfg = mixed_setup()
+    view, state, cfg = mixed_setup()
     before = state.copy()
-    _, n_used, loss, probs = refurbish.prestopping_plus_step(
-        batch, refurbish.RefurbishedSet.empty(8), np.zeros(8, dtype=bool),
-        state, cfg, epoch=1)
-    assert n_used == 0 and loss == 0.0
-    assert probs.shape == (8, 3)
+    labels, member = refurbish.epoch_targets(refurbish.RefurbishedSet.empty(8),
+                                             np.zeros(8, dtype=bool), view.labels)
+    hist = mem.PredictionHistory(8, 2, 3)
+    assert not engine.train_epoch(view, state, hist, cfg, 1, 9, labels, member)
+    assert all(hist.history_length(i) == 1 for i in range(8))  # still forward-passed
     for a, b in zip(before.weights, state.weights):
         assert np.array_equal(a, b)
 
