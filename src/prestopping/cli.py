@@ -134,8 +134,6 @@ class ExperimentConfig:
             # OptimizerConfig messages start with the offending field's name
             field, _, msg = str(exc).partition(" ")
             bad(OPTIMIZER_KEYS.get(field, field), msg)
-        if self.decay_factor < 1.0:
-            bad("decay_factor", "must be at least 1")
         if not 1 <= self.q <= memorization.MAX_Q:
             bad("q", f"history length must lie in [1, {memorization.MAX_Q}], got {self.q}")
         if not 0.0 <= self.epsilon <= 1.0:

@@ -191,7 +191,8 @@ def split(dataset: NoisyDataset, spec: SplitSpec):
 
 
 # ----- CSV files -----
-# columns: d feature columns, then the noisy label, then optionally the true label
+# columns: d feature columns, then the noisy label, then optionally the true label;
+# an optional first line names them feature_0..feature_{d-1},noisy_label[,true_label]
 
 def write_csv(dataset: NoisyDataset, path) -> None:
     """Full-precision text dump; load_csv(write_csv(ds)) reproduces ds exactly."""
@@ -206,11 +207,13 @@ def write_csv(dataset: NoisyDataset, path) -> None:
 def load_csv(path, n_classes: int | None = None) -> NoisyDataset:
     """Parse a feature+label CSV; errors name the offending 1-indexed line.
 
-    A second trailing integer column, when present, is read as the true label;
-    otherwise labels are treated as both noisy and true.
+    A header line fixes the label columns by name. Without one, the first
+    data row fixes them for the whole file: two trailing integer cells (in a
+    row of at least three) are the noisy and true label; otherwise the last
+    cell is the only label, read as both noisy and true.
     """
     feats, noisy, true, linenos = [], [], [], []
-    width = None
+    width = n_labels = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -222,10 +225,15 @@ def load_csv(path, n_classes: int | None = None) -> NoisyDataset:
                     raise ValueError(f"{path}: line {lineno}: need at least one "
                                      f"feature column and a label")
                 width = len(cells)
+                if not all(_float_like(c) for c in cells):
+                    n_labels = _header_labels(cells, path, lineno)
+                    continue
+                two = len(cells) >= 3 and all(_int_like(c) for c in cells[-2:])
+                n_labels = 2 if two else 1
             if len(cells) != width:
                 raise ValueError(f"{path}: line {lineno}: expected {width} columns, "
                                  f"got {len(cells)}")
-            feats_part, labels_part = _split_row(cells, path, lineno)
+            feats_part, labels_part = _split_row(cells, n_labels, path, lineno)
             feats.append(feats_part)
             noisy.append(labels_part[0])
             true.append(labels_part[-1])
@@ -245,21 +253,30 @@ def load_csv(path, n_classes: int | None = None) -> NoisyDataset:
                         provenance={"source": str(path), "noise": "file", "tau": None})
 
 
-def _split_row(cells, path, lineno):
-    """Feature floats plus one or two trailing integer labels."""
+def _header_labels(cells, path, lineno) -> int:
+    """Number of label columns a header names; any other header is rejected."""
+    names = [c.strip() for c in cells]
+    n_labels = 2 if names[-1] == "true_label" else 1
+    d = len(names) - n_labels
+    expected = [f"feature_{j}" for j in range(d)] + ["noisy_label", "true_label"][:n_labels]
+    if d < 1 or names != expected:
+        raise ValueError(f"{path}: line {lineno}: expected numbers or the header "
+                         f"feature_0,...,feature_<d-1>,noisy_label[,true_label], "
+                         f"got {','.join(names)!r}")
+    return n_labels
+
+
+def _split_row(cells, n_labels, path, lineno):
+    """Feature floats plus the n_labels trailing integer labels."""
     def parse_int(cell):
         try:
             v = float(cell)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: invalid label {cell!r}") from None
-        if v != int(v):
+        if not v.is_integer():
             raise ValueError(f"{path}: line {lineno}: label {cell!r} is not an integer")
         return int(v)
 
-    # two trailing labels when the file was written by write_csv; one otherwise
-    tail = cells[-2:]
-    two_labels = all(_int_like(c) for c in tail) and len(cells) >= 3
-    n_labels = 2 if two_labels else 1
     try:
         feats = [float(c) for c in cells[:-n_labels]]
     except ValueError as exc:
@@ -271,7 +288,8 @@ def _split_row(cells, path, lineno):
 
 def _int_like(cell: str) -> bool:
     try:
-        return float(cell) == int(float(cell)) and "." not in cell and "e" not in cell.lower()
+        int(cell)
+        return True
     except ValueError:
         return False
 

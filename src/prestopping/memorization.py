@@ -74,14 +74,11 @@ class PredictionHistory:
         if indices is None:
             indices = np.arange(self.n_samples)
         indices = np.asarray(indices, dtype=np.int64)
-        counts = np.zeros((len(indices), self.n_classes), dtype=np.int64)
-        buf = self._buf[indices]
-        fill = self._fill[indices]
-        valid = np.arange(self.q)[None, :] < fill[:, None]  # ring order irrelevant for counts
-        rows = np.repeat(np.arange(len(indices)), self.q)[valid.ravel()]
-        vals = buf.ravel()[valid.ravel()]
-        np.add.at(counts, (rows, vals), 1)
-        return counts
+        m, k = len(indices), self.n_classes
+        valid = np.arange(self.q)[None, :] < self._fill[indices][:, None]  # ring order irrelevant
+        cells = np.arange(m)[:, None] * k + self._buf[indices]  # flat (row, label) cell
+        counts = np.bincount(cells[valid], minlength=m * k)
+        return counts.reshape(m, k).astype(np.int64, copy=False)
 
     def label_probability(self, index: int, label: int) -> float:
         """Frequency of label in the sample's history; error when history is empty."""

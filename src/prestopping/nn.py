@@ -1,17 +1,23 @@
 """Small ReLU MLP classifier: exact backprop, momentum SGD, step-decay LR.
 
 All math is float64. The forward pass is pure; training mutates a
-NetworkState that is exclusively owned by one training run.
+NetworkState that is exclusively owned by one training run. Evaluation
+writes its layer outputs into per-thread scratch arrays and returns only
+fresh arrays; every matrix product keeps the operands and shape of a plain
+`a @ w`, so results are bitwise those of an allocating pass.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 CHECKPOINT_MAGIC = b"PSTP1"
+# per-thread evaluation buffers; see _scratch
+_SCRATCH = threading.local()
 
 
 # ----- configuration types -----
@@ -64,8 +70,8 @@ class OptimizerConfig:
         object.__setattr__(self, "decay_points", pts)
         if any(not 0.0 < p < 1.0 for p in pts) or list(pts) != sorted(set(pts)):
             raise ValueError(f"decay_points must be strictly increasing in (0, 1), got {pts}")
-        if self.decay_factor <= 0:
-            raise ValueError(f"decay_factor must be positive, got {self.decay_factor}")
+        if self.decay_factor < 1.0:
+            raise ValueError(f"decay_factor must be at least 1, got {self.decay_factor}")
 
     def lr_at(self, epoch: int) -> float:
         """LR for a 1-indexed epoch on the global schedule clock."""
@@ -141,35 +147,64 @@ def _check_features(features: np.ndarray, spec: NetworkSpec) -> np.ndarray:
     return x
 
 
-def _forward_cache(features, state: NetworkState):
-    """Logits plus every layer's post-activation (acts[0] is the input)."""
+def _scratch(layer: int, n: int, width: int) -> np.ndarray:
+    """(n, width) view of this thread's scratch array for one layer, grown to fit.
+
+    Keyed by layer index as well as width, so that a layer's input and output
+    never share an array even when two consecutive layers have one width.
+    """
+    arrays = vars(_SCRATCH).setdefault("arrays", {})
+    buf = arrays.get((layer, width))
+    if buf is None or len(buf) < n:
+        buf = arrays[(layer, width)] = np.empty((n, width))
+    return buf[:n]
+
+
+def _layer_outputs(features, state: NetworkState, scratch: bool = False) -> list:
+    """Every layer's post-activation: [input, hidden..., logits].
+
+    With scratch, the outputs live in this thread's scratch arrays and are
+    overwritten by the next scratch pass; otherwise each one is a fresh array.
+    """
     x = _check_features(features, state.spec)
     acts = [x]
-    a = x
-    for w, b in zip(state.weights[:-1], state.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
-        acts.append(a)
-    logits = a @ state.weights[-1] + state.biases[-1]
-    return logits, acts
+    last = state.n_layers - 1
+    for layer, (w, b) in enumerate(zip(state.weights, state.biases)):
+        out = _scratch(layer, len(x), w.shape[1]) if scratch else None
+        z = np.matmul(acts[-1], w, out=out)
+        z += b
+        if layer < last:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return acts
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_ce(logits, labels=None):
+    """Overwrite logits with softmax probabilities; per-sample CE when labels given.
 
-
-def _per_sample_ce(logits, labels):
-    # log-sum-exp guarded cross-entropy: lse(z) - z[y]
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    return lse - logits[np.arange(len(labels)), labels]
+    The row max, shifted exponentials and row sums serve both results, so the
+    cross-entropy is the log-sum-exp guarded lse(z) - z[y].
+    """
+    m = logits.max(axis=1, keepdims=True)
+    picked = None if labels is None else logits[np.arange(len(labels)), labels]
+    logits -= m
+    np.exp(logits, out=logits)
+    s = logits.sum(axis=1, keepdims=True)
+    logits /= s
+    if labels is None:
+        return None
+    return (m[:, 0] + np.log(s[:, 0])) - picked
 
 
 def forward(features, state: NetworkState) -> np.ndarray:
-    """Class probabilities, shape (n, k); pure, no side effects."""
-    logits, _ = _forward_cache(features, state)
-    return _softmax(logits)
+    """Class probabilities, shape (n, k), as a fresh array; no side effects on state.
+
+    Evaluation reuses this thread's internal scratch arrays; the result never
+    aliases them.
+    """
+    logits = _layer_outputs(features, state, scratch=True)[-1]
+    _softmax_ce(logits)
+    return logits.copy()
 
 
 def _check_labels(labels, k: int):
@@ -211,9 +246,9 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
         denom = n
     if denom is None or denom <= 0:
         raise ValueError(f"gradient needs a positive denom, got {denom}")
-    logits, acts = _forward_cache(features, state)
-    probs = _softmax(logits)
-    per_sample = _per_sample_ce(logits, labels)
+    acts = _layer_outputs(features, state)
+    probs = acts.pop()  # logits until _softmax_ce overwrites them
+    per_sample = _softmax_ce(probs, labels)
     delta = probs.copy()
     delta[np.arange(n), labels] -= 1.0
     used = per_sample
@@ -249,8 +284,7 @@ def sgd_step(state: NetworkState, grads, config: OptimizerConfig, epoch: int) ->
 def per_sample_losses(features, labels, state: NetworkState) -> np.ndarray:
     """Cross-entropy of each sample against the given labels; no gradients."""
     labels = _check_labels(labels, state.spec.n_classes)
-    logits, _ = _forward_cache(features, state)
-    return _per_sample_ce(logits, labels)
+    return _softmax_ce(_layer_outputs(features, state, scratch=True)[-1], labels)
 
 
 def predict_labels(features, state: NetworkState) -> np.ndarray:

@@ -68,6 +68,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         (["--q", "300"], "q"),
         (["--decay_points", "1.0"], "decay_points"),
         (["--decay_points", "0.75,0.5"], "decay_points"),
+        (["--decay_factor", "0.5"], "decay_factor"),
     ]:
         rc = cli.main(["run"] + flags + ["--out", str(tmp_path)])
         assert rc == 2, flags

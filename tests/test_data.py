@@ -228,3 +228,46 @@ def test_csv_errors_name_lines(tmp_path):
     badlabel.write_text("0.5,1.5,2\n0.5,1.5,7\n")
     with pytest.raises(ValueError, match="line 2.*7"):
         data.load_csv(badlabel, n_classes=4)
+
+
+def test_csv_documented_header_names_the_label_columns(tmp_path):
+    ds = data.inject_noise(make_ds(n=20), data.build_pair_matrix(4, 0.4), seed=3)
+    plain = tmp_path / "plain.csv"
+    data.write_csv(ds, plain)
+    two = tmp_path / "two.csv"
+    two.write_text("feature_0,feature_1,feature_2,noisy_label,true_label\n"
+                   + plain.read_text())
+    back = data.load_csv(two, n_classes=4)
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.noisy_labels, ds.noisy_labels)
+    assert np.array_equal(back.true_labels, ds.true_labels)
+
+    # with a header, integer-valued features are not mistaken for labels
+    one = tmp_path / "one.csv"
+    one.write_text("feature_0,feature_1,noisy_label\n0.5,3,1\n0.25,2,0\n")
+    back = data.load_csv(one)
+    assert np.array_equal(back.features, [[0.5, 3.0], [0.25, 2.0]])
+    assert np.array_equal(back.noisy_labels, [1, 0]) and back.is_noise_free
+
+    for header in ("feature_0,label", "feature_1,feature_0,noisy_label",
+                   "noisy_label,true_label", "x,y,noisy_label,true_label"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "\n0.5,1.5,0,0\n")
+        with pytest.raises(ValueError, match="line 1"):
+            data.load_csv(bad)
+
+
+def test_csv_headerless_layout_is_fixed_by_the_first_row(tmp_path):
+    # the first row has one label column, so the second row's integer cell
+    # is a feature, not a label
+    one_first = tmp_path / "one_first.csv"
+    one_first.write_text("0.5,1.5,0\n0.25,3,1\n")
+    ds = data.load_csv(one_first)
+    assert np.array_equal(ds.features, [[0.5, 1.5], [0.25, 3.0]])
+    assert np.array_equal(ds.noisy_labels, [0, 1]) and ds.is_noise_free
+
+    # the first row has two label columns, so a non-integer label disagrees
+    two_first = tmp_path / "two_first.csv"
+    two_first.write_text("0.25,3,1\n0.5,1.5,0\n")
+    with pytest.raises(ValueError, match="line 2"):
+        data.load_csv(two_first)

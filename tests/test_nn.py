@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import straight_line_forward
 from prestopping import nn, rng
 
 # ----- fixtures / helpers -----
@@ -47,6 +48,8 @@ def test_optimizer_config_validation():
         nn.OptimizerConfig(decay_points=(0.75, 0.5))
     with pytest.raises(ValueError):
         nn.OptimizerConfig(decay_points=(0.0, 0.5))
+    with pytest.raises(ValueError, match="^decay_factor"):
+        nn.OptimizerConfig(decay_factor=0.5)
 
 
 def test_lr_schedule_values():
@@ -293,6 +296,36 @@ def test_evaluate_error_and_argmax_tie_break():
     assert nn.evaluate_error(GOLDEN_INPUT, np.array([0, 1]), state) == 0.5
     with pytest.raises(ValueError):
         nn.evaluate_error(np.empty((0, 3)), np.empty(0, dtype=int), state)
+
+
+def test_evaluation_with_reused_scratch_matches_numpy_oracle():
+    # row counts grow the scratch arrays and then shrink them; two networks
+    # alternate, and hidden (64, 64) gives two layers one width
+    g = rng.stream(4, "x")
+    states = [small_state(1, sizes=(16, 64, 64, 4)), small_state(2, sizes=(16, 128, 64, 4))]
+    for state in states:
+        state.biases = [g.normal(size=b.shape) for b in state.biases]
+    kept = []
+    for n in (1, 32, 500, 4000, 5500, 7):
+        for state in states:
+            x = g.normal(size=(n, 16)) * 2.0
+            labels = g.integers(0, 4, size=n)
+            probs, acts = straight_line_forward(state.weights, state.biases, x)
+            logits = acts[-1] @ state.weights[-1] + state.biases[-1]
+            m = logits.max(axis=1)
+            lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+            losses = lse - logits[np.arange(n), labels]
+            preds = np.argmax(probs, axis=1)
+
+            got = (nn.forward(x, state), nn.predict_labels(x, state),
+                   nn.per_sample_losses(x, labels, state))
+            for out, want in zip(got, (probs, preds, losses)):
+                assert np.array_equal(out, want)
+            assert nn.evaluate_error(x, labels, state) == float(np.mean(preds != labels))
+            kept.append((got, [out.copy() for out in got]))
+    # no returned array aliases a buffer that later calls overwrite
+    for got, frozen in kept:
+        assert all(np.array_equal(a, b) for a, b in zip(got, frozen))
 
 
 # ----- checkpoint format -----
