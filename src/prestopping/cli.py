@@ -34,8 +34,8 @@ METHODS = ("default", "prestopping", "prestopping_plus")
 NOISES = ("none", "symmetric", "pair")
 HEURISTICS = ("validation", "noise_rate")
 Q_GRID = (1, 5, 10, 15, 20)
-# nn.OptimizerConfig field -> config key
-OPTIMIZER_KEYS = {"base_lr": "lr", "total_epochs": "epochs"}
+# nn.OptimizerConfig / nn.NetworkSpec field -> config key
+LIBRARY_KEYS = {"base_lr": "lr", "total_epochs": "epochs", "layer_sizes": "hidden"}
 
 
 class ConfigError(ValueError):
@@ -126,14 +126,13 @@ class ExperimentConfig:
                 bad("tau", "noise_rate heuristic needs the noise rate")
             if self.heuristic == "validation" and self.validation_size < 1:
                 bad("validation_size", "validation heuristic needs a validation set")
-        if any(h < 1 for h in self.hidden):
-            bad("hidden", f"layer widths must be positive, got {self.hidden}")
         try:
+            self.net_spec(1, 2)  # only the hidden widths are known before the data
             self.optimizer()
         except ValueError as exc:
-            # OptimizerConfig messages start with the offending field's name
+            # library messages start with the offending field's name
             field, _, msg = str(exc).partition(" ")
-            bad(OPTIMIZER_KEYS.get(field, field), msg)
+            bad(LIBRARY_KEYS.get(field, field), msg)
         if not 1 <= self.q <= memorization.MAX_Q:
             bad("q", f"history length must lie in [1, {memorization.MAX_Q}], got {self.q}")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -238,7 +237,7 @@ def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
                                     observer=collector)
     if cfg.method == "prestopping":
         return result.checkpoint, None
-    plus = refurbish.run_prestopping_plus(view, result.safe_set.indices, net, opt,
+    plus = refurbish.run_prestopping_plus(view, result.safe_set, net, opt,
                                           cfg.q, cfg.epsilon, seed,
                                           observer=collector)
     return result.checkpoint, plus
@@ -349,9 +348,10 @@ def cmd_grid_q(cfg: ExperimentConfig, grid: tuple) -> int:
     if cfg.method not in ("prestopping", "prestopping_plus"):
         raise ConfigError(f"method: grid-q needs prestopping or prestopping_plus, "
                           f"got {cfg.method!r}")
-    if not grid or any(not 1 <= qv <= memorization.MAX_Q for qv in grid):
-        raise ConfigError(f"grid: history lengths must lie in [1, {memorization.MAX_Q}], "
-                          f"got {grid}")
+    if not grid or len(set(grid)) != len(grid) \
+            or any(not 1 <= qv <= memorization.MAX_Q for qv in grid):
+        raise ConfigError(f"grid: history lengths must be distinct and lie in "
+                          f"[1, {memorization.MAX_Q}], got {grid}")
     all_summaries, all_failures = [], []
     for qv in grid:
         sub = replace(cfg, q=qv, out=str(Path(cfg.out) / f"q{qv}"))
@@ -380,11 +380,14 @@ def cmd_grid_q(cfg: ExperimentConfig, grid: tuple) -> int:
 
 
 def cmd_summarize(root: Path) -> int:
-    files = sorted(root.rglob("seed*/summary.json"))
     runs = []
-    for path in files:
-        for d in metrics.read_summary_json(path).get("runs", []):
-            runs.append(metrics.RunSummary.from_dict(d))
+    for path in sorted(root.rglob("seed*/summary.json")):
+        try:
+            runs += [metrics.RunSummary.from_dict(d)
+                     for d in metrics.read_summary_json(path).get("runs", [])]
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            return 1
     if not runs:
         print(f"no run summaries found under {root}", file=sys.stderr)
         return 1

@@ -55,32 +55,16 @@ class Checkpoint:
 
 
 @dataclass
-class MaximalSafeSet:
-    """Indices whose histories currently vote for their own training label."""
-    indices: np.ndarray  # sorted int64
-    n_total: int
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.n_total, dtype=bool)
-        m[self.indices] = True
-        return m
-
-
-@dataclass
 class EpochContext:
     """Observer payload at each epoch end; state and histories are live references."""
     phase: str
     epoch: int
     state: nn.NetworkState
     histories: PredictionHistory
+    memorized: np.ndarray  # (n,) bool maximal safe set under the epoch-end histories
     lr: float
     train_error: float
     validation_error: Optional[float] = None
-    no_update_epoch: bool = False
 
 
 @dataclass
@@ -163,10 +147,33 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
     return updated
 
 
-def compute_safe_set(histories: PredictionHistory, noisy_labels) -> MaximalSafeSet:
-    """Current maximal safe set over the whole training set."""
-    mask = histories.memorized_mask(noisy_labels)
-    return MaximalSafeSet(np.nonzero(mask)[0].astype(np.int64), histories.n_samples)
+def run_epochs(phase: str, view: DataView, state, histories: PredictionHistory, config,
+               seed: int, first: int, targets: Optional[Callable] = None,
+               observer: Optional[Observer] = None, validation: Optional[DataView] = None,
+               step_hook: Optional[StepHook] = None):
+    """The one epoch loop of every run: trains epochs first..total_epochs, yielding contexts.
+
+    targets(histories, last epoch's memorized mask or None) gives the epoch's
+    (labels, member mask) for train_epoch; None trains every sample. The
+    observer sees each context before the caller does.
+    """
+    memorized = None
+    for epoch in range(first, config.total_epochs + 1):
+        labels, member = (None, None) if targets is None else targets(histories, memorized)
+        if not train_epoch(view, state, histories, config, epoch, seed,
+                           labels, member, step_hook):  # only masked phases can skip all
+            what = {"phase2": "safe set empty for every batch, no parameter update",
+                    "plus": "trusted and refurbished sets both empty for every batch"}
+            warnings.warn(f"epoch {epoch}: {what[phase]}", RuntimeWarning)
+        memorized = histories.memorized_mask(view.labels)
+        train_err = nn.evaluate_error(view.features, view.labels, state)
+        val_err = None if validation is None else \
+            nn.evaluate_error(validation.features, validation.labels, state)
+        ctx = EpochContext(phase, epoch, state, histories, memorized,
+                           config.lr_at(epoch), train_err, val_err)
+        if observer is not None:
+            observer(ctx)
+        yield ctx
 
 
 # ----- phase I -----
@@ -177,26 +184,19 @@ def phase1_train(view: DataView, heuristic: StopHeuristic, net_spec: nn.NetworkS
     """Standard training with the stop heuristic watching epoch-end errors."""
     state = nn.init_state(net_spec, rng.stream(seed, "init"), rng_seed=seed)
     histories = PredictionHistory(view.n, q, view.n_classes)
+    by_validation = heuristic.kind == "validation"
     best: Optional[Checkpoint] = None
-    train_err = 1.0
-    for epoch in range(1, config.total_epochs + 1):
-        train_epoch(view, state, histories, config, epoch, seed)
-        train_err = nn.evaluate_error(view.features, view.labels, state)
-        val_err = None
-        if heuristic.kind == "validation":
-            v = heuristic.validation
-            val_err = nn.evaluate_error(v.features, v.labels, state)
-        if observer is not None:
-            observer(EpochContext("phase1", epoch, state, histories,
-                                  config.lr_at(epoch), train_err, val_err))
-        if heuristic.kind == "validation":
-            if is_improvement(val_err, best.trigger_value if best else None):
-                best = Checkpoint(state.copy(), histories.copy(), epoch, val_err)
-        elif train_err <= heuristic.tau:
-            return Checkpoint(state.copy(), histories.copy(), epoch, train_err)
-    if heuristic.kind == "validation":
+    for ctx in run_epochs("phase1", view, state, histories, config, seed, 1, None, observer,
+                          heuristic.validation if by_validation else None):
+        if by_validation:
+            if is_improvement(ctx.validation_error, best.trigger_value if best else None):
+                best = Checkpoint(state.copy(), histories.copy(), ctx.epoch,
+                                  ctx.validation_error)
+        elif ctx.train_error <= heuristic.tau:
+            return Checkpoint(state.copy(), histories.copy(), ctx.epoch, ctx.train_error)
+    if by_validation:
         return best
-    raise StopPointNotReached(train_err, heuristic.tau, config.total_epochs)
+    raise StopPointNotReached(ctx.train_error, heuristic.tau, config.total_epochs)
 
 
 def run_default(view: DataView, net_spec: nn.NetworkSpec, config: nn.OptimizerConfig,
@@ -204,12 +204,8 @@ def run_default(view: DataView, net_spec: nn.NetworkSpec, config: nn.OptimizerCo
     """Plain training for all epochs; bitwise identical to Phase I's trajectory."""
     state = nn.init_state(net_spec, rng.stream(seed, "init"), rng_seed=seed)
     histories = PredictionHistory(view.n, q, view.n_classes)
-    for epoch in range(1, config.total_epochs + 1):
-        train_epoch(view, state, histories, config, epoch, seed)
-        if observer is not None:
-            train_err = nn.evaluate_error(view.features, view.labels, state)
-            observer(EpochContext("phase1", epoch, state, histories,
-                                  config.lr_at(epoch), train_err, None))
+    for _ in run_epochs("phase1", view, state, histories, config, seed, 1, None, observer):
+        pass
     return state, histories
 
 
@@ -218,39 +214,35 @@ def run_default(view: DataView, net_spec: nn.NetworkSpec, config: nn.OptimizerCo
 def phase2_train(checkpoint: Checkpoint, view: DataView, config: nn.OptimizerConfig,
                  seed: int, observer: Optional[Observer] = None,
                  step_hook: Optional[StepHook] = None):
-    """Resume from the checkpoint, training on safe-set members only.
+    """Resume from the checkpoint; returns (state, final safe-set mask, histories).
 
-    The epoch counter resumes at the checkpoint epoch and the LR comes from
-    the global schedule, so the LR at resumption equals its value when the
-    checkpoint was taken. The checkpoint itself is left untouched.
+    Only safe-set members train. The epoch counter resumes at the checkpoint
+    epoch and the LR comes from the global schedule, so the LR at resumption
+    equals its value when the checkpoint was taken. The checkpoint itself is
+    left untouched.
     """
     if checkpoint.epoch > config.total_epochs:
         raise ValueError(f"checkpoint epoch {checkpoint.epoch} is past "
                          f"total_epochs {config.total_epochs}")
     state = checkpoint.state.copy()
     histories = checkpoint.histories.copy()
-    for epoch in range(checkpoint.epoch, config.total_epochs + 1):
-        # membership depends only on each sample's own history, and batches
-        # partition the epoch, so the epoch-start mask is each batch's mask
-        member = histories.memorized_mask(view.labels)
-        updated = train_epoch(view, state, histories, config, epoch, seed,
-                              member=member, step_hook=step_hook)
-        if not updated:
-            warnings.warn(f"epoch {epoch}: safe set empty for every batch, "
-                          f"no parameter update", RuntimeWarning)
-        if observer is not None:
-            train_err = nn.evaluate_error(view.features, view.labels, state)
-            observer(EpochContext("phase2", epoch, state, histories,
-                                  config.lr_at(epoch), train_err, None,
-                                  no_update_epoch=not updated))
-    return state, compute_safe_set(histories, view.labels), histories
+
+    def safe_set(histories, previous):
+        # the epoch-start mask is each batch's mask: membership depends only on
+        # a sample's own history, and batches partition the epoch
+        return None, histories.memorized_mask(view.labels) if previous is None else previous
+
+    for ctx in run_epochs("phase2", view, state, histories, config, seed, checkpoint.epoch,
+                          safe_set, observer, step_hook=step_hook):
+        pass
+    return state, ctx.memorized, histories
 
 
 @dataclass
 class PrestopResult:
     checkpoint: Checkpoint
     final_state: nn.NetworkState
-    safe_set: MaximalSafeSet
+    safe_set: np.ndarray  # (n,) bool, the memorized mask after the last epoch
     histories: PredictionHistory
 
 

@@ -141,13 +141,15 @@ class PredictionHistory:
             raw = fh.read()
         if raw[:5] != HISTORY_MAGIC:
             raise ValueError(f"{path}: bad magic {raw[:5]!r}, expected {HISTORY_MAGIC!r}")
+        if len(raw) < 13:
+            raise ValueError(f"{path}: truncated header ({len(raw)} bytes)")
         n, q = struct.unpack_from("<II", raw, 5)
         hist = cls(n, q, n_classes)
         off = 13
         for i in range(n):
-            if off >= len(raw):
+            if off >= len(raw) or off + 1 + raw[off] > len(raw):
                 raise ValueError(f"{path}: truncated at sample {i}")
-            (length,) = struct.unpack_from("<B", raw, off)
+            length = raw[off]
             off += 1
             if length > q:
                 raise ValueError(f"{path}: sample {i} claims {length} entries, q={q}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -42,8 +43,8 @@ class EpochMetrics:
 
 def snapshot_epoch(ctx: EpochContext, train_ds: NoisyDataset,
                    test_view: DataView) -> EpochMetrics:
-    """Score one epoch: errors plus the memorized-set composition."""
-    mask = ctx.histories.memorized_mask(train_ds.noisy_labels)
+    """Score one epoch: errors plus the composition of the epoch's memorized set."""
+    mask = ctx.memorized
     mp, mr = mp_mr(mask, train_ds.noisy_labels, train_ds.true_labels)
     clean = train_ds.noisy_labels == train_ds.true_labels
     true_count = int(np.count_nonzero(mask & clean))
@@ -223,9 +224,16 @@ def summarize(runs: list[RunSummary]) -> dict:
 
 
 def write_summary_json(summary: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Atomic: a temp file in the same directory, renamed over path once complete."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_summary_json(path) -> dict:

@@ -26,7 +26,6 @@ _SCRATCH = threading.local()
 class NetworkSpec:
     """Layer widths input..output; hidden activations are ReLU, output is softmax."""
     layer_sizes: tuple[int, ...]
-    activation: str = "relu"
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -34,9 +33,7 @@ class NetworkSpec:
         if len(sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output widths")
         if any(s <= 0 for s in sizes):
-            raise ValueError(f"layer widths must be positive, got {sizes}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
+            raise ValueError(f"layer_sizes must all be positive, got {sizes}")
 
     @property
     def input_dim(self) -> int:
@@ -326,10 +323,18 @@ def load_network(path, epoch: int = 0, rng_seed: int = 0) -> NetworkState:
         raw = fh.read()
     if raw[:5] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:5]!r}, expected {CHECKPOINT_MAGIC!r}")
-    (n_sizes,) = struct.unpack_from("<I", raw, 5)
-    sizes = struct.unpack_from(f"<{n_sizes}I", raw, 9)
+    try:
+        (n_sizes,) = struct.unpack_from("<I", raw, 5)
+        sizes = struct.unpack_from(f"<{n_sizes}I", raw, 9)
+    except struct.error:
+        raise ValueError(f"{path}: truncated header ({len(raw)} bytes)") from None
     spec = NetworkSpec(tuple(int(s) for s in sizes))
     off = 9 + 4 * n_sizes
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    body = 16 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+    if len(raw) - off != body:  # parameters, then momentum buffers of the same shapes
+        raise ValueError(f"{path}: expected {body} bytes of parameters and momentum "
+                         f"after the header, got {len(raw) - off}")
 
     def take(shape):
         nonlocal off
@@ -338,7 +343,6 @@ def load_network(path, epoch: int = 0, rng_seed: int = 0) -> NetworkState:
         off += 8 * count
         return arr
 
-    shapes = list(zip(sizes[:-1], sizes[1:]))
     weights = []
     biases = []
     for fan_in, fan_out in shapes:
@@ -348,6 +352,4 @@ def load_network(path, epoch: int = 0, rng_seed: int = 0) -> NetworkState:
     for fan_in, fan_out in shapes:
         vel_w.append(take((fan_in, fan_out)))
         vel_b.append(take((fan_out,)))
-    if off != len(raw):
-        raise ValueError(f"{path}: {len(raw) - off} trailing bytes after parameters")
     return NetworkState(spec, weights, biases, vel_w, vel_b, epoch=epoch, rng_seed=rng_seed)

@@ -10,7 +10,6 @@ forward-passed so histories keep growing.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import nn, rng
 from .data import DataView
-from .engine import EpochContext, Observer, train_epoch
+from .engine import Observer, run_epochs
 from .memorization import PredictionHistory
 
 
@@ -87,7 +86,6 @@ def epoch_targets(refurb: RefurbishedSet, trusted_mask, noisy_labels):
     Refurbished samples train on their refurbished label, trusted ones on
     their training label; every other sample is excluded from the gradient.
     """
-    trusted_mask = np.asarray(trusted_mask, dtype=bool)
     if np.any(refurb.mask & trusted_mask):
         raise ValueError("refurbished set overlaps the trusted set")
     return np.where(refurb.mask, refurb.labels, noisy_labels), trusted_mask | refurb.mask
@@ -100,29 +98,23 @@ class PlusResult:
     refurbished: RefurbishedSet  # recomputed from the final histories
 
 
-def run_prestopping_plus(view: DataView, trusted_indices, net_spec: nn.NetworkSpec,
+def run_prestopping_plus(view: DataView, trusted_mask, net_spec: nn.NetworkSpec,
                          config: nn.OptimizerConfig, q: int, epsilon: float,
                          seed: int, observer: Optional[Observer] = None) -> PlusResult:
     """Second run from a fresh network, mixing trusted and refurbished samples.
 
+    trusted_mask is an (n,) bool mask, normally Phase II's final safe set.
     Histories start empty, so early epochs train on the trusted set alone; the
     refurbished set is recomputed at each epoch start from current histories.
     """
-    trusted_mask = np.zeros(view.n, dtype=bool)
-    trusted_mask[np.asarray(trusted_indices, dtype=np.int64)] = True
     rcfg = RefurbishConfig(epsilon, trusted_mask)
     state = nn.init_state(net_spec, rng.stream(seed, "plus_init"), rng_seed=seed)
     histories = PredictionHistory(view.n, q, view.n_classes)
-    for epoch in range(1, config.total_epochs + 1):
-        labels, member = epoch_targets(refurbish_candidates(histories, rcfg),
-                                       trusted_mask, view.labels)
-        updated = train_epoch(view, state, histories, config, epoch, seed, labels, member)
-        if not updated:
-            warnings.warn(f"epoch {epoch}: trusted and refurbished sets both empty "
-                          f"for every batch", RuntimeWarning)
-        if observer is not None:
-            train_err = nn.evaluate_error(view.features, view.labels, state)
-            observer(EpochContext("plus", epoch, state, histories,
-                                  config.lr_at(epoch), train_err, None,
-                                  no_update_epoch=not updated))
+
+    def targets(histories, previous):
+        return epoch_targets(refurbish_candidates(histories, rcfg), rcfg.trusted_mask,
+                             view.labels)
+
+    for _ in run_epochs("plus", view, state, histories, config, seed, 1, targets, observer):
+        pass
     return PlusResult(state, histories, refurbish_candidates(histories, rcfg))

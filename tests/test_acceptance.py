@@ -259,9 +259,7 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
     cfg = nn.OptimizerConfig(base_lr=0.1, batch_size=64, total_epochs=12)
     heur = engine.StopHeuristic("noise_rate", tau=0.5)
     result = engine.run_prestopping(view, heur, net, cfg, q=4, seed=8)
-    trusted_idx = result.safe_set.indices
-    trusted = np.zeros(view.n, dtype=bool)
-    trusted[trusted_idx] = True
+    trusted = result.safe_set
 
     # epsilon = 0 on fresh histories: the refurbished set is provably empty
     fresh = mem.PredictionHistory(view.n, 4, 3)
@@ -271,7 +269,7 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
     # (a) a one-epoch plus run equals a straight-line phase-II-style replay
     # restricted to the trusted set, bitwise
     one = nn.OptimizerConfig(base_lr=0.1, batch_size=64, total_epochs=1)
-    plus = refurbish.run_prestopping_plus(view, trusted_idx, net, one, q=4,
+    plus = refurbish.run_prestopping_plus(view, trusted, net, one, q=4,
                                           epsilon=0.0, seed=8)
     w = [a.copy() for a in nn.init_state(net, rng.stream(8, "plus_init"),
                                          rng_seed=8).weights]
@@ -338,7 +336,7 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
     seen = []
     real_cfg = refurbish.RefurbishConfig(0.05, trusted)
     refurbish.run_prestopping_plus(
-        view, trusted_idx, net, cfg, q=4, epsilon=0.05, seed=8,
+        view, trusted, net, cfg, q=4, epsilon=0.05, seed=8,
         observer=lambda ctx: seen.append(
             refurbish.refurbish_candidates(ctx.histories, real_cfg).mask))
     assert seen and all(not np.any(m & trusted) for m in seen)
@@ -349,7 +347,7 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
     for _ in range(4):
         hist.record_batch(np.arange(view.n), np.zeros(view.n, dtype=np.int64))
     cand = refurbish.refurbish_candidates(hist, refurbish.RefurbishConfig(0.0, trusted))
-    idx = np.concatenate([np.nonzero(cand.mask)[0][:2], trusted_idx[:3],
+    idx = np.concatenate([np.nonzero(cand.mask)[0][:2], np.nonzero(trusted)[0][:3],
                           np.nonzero(~cand.mask & ~trusted)[0][:3]])
     labels, member = refurbish.epoch_targets(cand, trusted, view.labels)
     sub = data.DataView(view.features[idx], view.labels[idx], view.n_classes)

@@ -69,6 +69,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         (["--decay_points", "1.0"], "decay_points"),
         (["--decay_points", "0.75,0.5"], "decay_points"),
         (["--decay_factor", "0.5"], "decay_factor"),
+        (["--hidden", "8,0"], "hidden"),
     ]:
         rc = cli.main(["run"] + flags + ["--out", str(tmp_path)])
         assert rc == 2, flags
@@ -231,6 +232,14 @@ def test_grid_q_row_per_point(tmp_path):
     assert sorted({r["q"] for r in summary["runs"]}) == [1, 5, 10]
 
 
+def test_grid_q_rejects_repeated_values(tmp_path, capsys):
+    # q=5 twice would train twice into one q5/ directory and write two rows
+    rc = cli.main(["grid-q"] + tiny_flags(tmp_path, seeds="0") + ["--grid", "5,10,5"])
+    assert rc == 2
+    assert "config error: grid:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # nothing trained
+
+
 def test_grid_q_rejects_default_method(capsys):
     rc = cli.main(["grid-q"] + tiny_flags("unused", method="default"))
     assert rc == 2
@@ -252,6 +261,17 @@ def test_summarize_merges_methods(tmp_path, capsys):
     assert {g["method"] for g in merged["groups"]} == {"default", "prestopping"}
     out = capsys.readouterr().out
     assert "default" in out and "prestopping" in out
+
+
+def test_summarize_names_unreadable_summary(tmp_path, capsys):
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0")) == 0
+    broken = tmp_path / "default" / "other" / "seed1" / "summary.json"
+    broken.parent.mkdir(parents=True)
+    broken.write_text('{"runs": [')  # a run killed mid-write, before atomic writes
+    capsys.readouterr()
+    rc = cli.main(["summarize", "--dir", str(tmp_path)])
+    assert rc == 1
+    assert str(broken) in capsys.readouterr().err
 
 
 def test_summarize_empty_dir_fails(tmp_path, capsys):

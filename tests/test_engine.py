@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import straight_line_step, window_memorized
-from prestopping import data, engine, memorization as mem, nn, rng
+from prestopping import data, engine, memorization as mem, metrics, nn, refurbish, rng
 
 
 def toy_problem(n_per=30, k=3, d=4, tau=0.3, seed=5, spread=0.4):
@@ -146,7 +146,7 @@ def test_phase2_replay_is_deterministic():
     _, _, _, _, s1, safe1, _ = run_two_phase(seed=13)
     _, _, _, _, s2, safe2, _ = run_two_phase(seed=13)
     assert all(np.array_equal(a, b) for a, b in zip(s1.weights, s2.weights))
-    assert np.array_equal(safe1.indices, safe2.indices)
+    assert np.array_equal(safe1, safe2)
 
 
 def test_phase2_first_batch_uses_checkpoint_memorization():
@@ -225,8 +225,63 @@ def test_phase2_steps_match_straight_line_oracle_bitwise():
     # the returned safe set is the memorized set under the final histories
     final_mask = np.array([window_memorized(logs[i], q, view.labels[i])
                            for i in range(view.n)])
-    assert np.array_equal(safe.indices, np.nonzero(final_mask)[0])
-    assert safe.size == final_mask.sum()
+    assert np.array_equal(np.nonzero(safe)[0], np.nonzero(final_mask)[0])
+    assert safe.sum() == final_mask.sum()
+
+
+# ----- one memorized mask per epoch, shared by every reader -----
+
+def test_memorized_mask_is_shared_across_all_three_phases():
+    ds = toy_problem(tau=0.3, seed=11)
+    view = ds.train_view()
+    cfg = small_config(epochs=8)
+    events = []
+
+    def observe(ctx):
+        assert np.array_equal(ctx.memorized, ctx.histories.memorized_mask(view.labels)), \
+            (ctx.phase, ctx.epoch)
+        events.append(ctx)
+
+    res = engine.run_prestopping(view, engine.StopHeuristic("noise_rate", tau=0.45),
+                                 SMALL_SPEC, cfg, q=3, seed=11, observer=observe,
+                                 step_hook=events.append)
+    refurbish.run_prestopping_plus(view, res.safe_set, SMALL_SPEC, cfg, q=3,
+                                   epsilon=0.05, seed=11, observer=observe)
+    contexts = [e for e in events if isinstance(e, engine.EpochContext)]
+    assert {c.phase for c in contexts} == {"phase1", "phase2", "plus"}
+    assert contexts[-1].phase == "plus"
+    # each Phase II batch trains on the previous epoch's mask; for the first
+    # Phase II epoch that is the checkpoint epoch's Phase I mask
+    previous, steps = None, 0
+    for e in events:
+        if isinstance(e, engine.EpochContext):
+            previous = e
+            continue
+        assert previous.phase == "phase2" or previous.epoch == res.checkpoint.epoch
+        assert np.array_equal(e.member_mask, previous.memorized[e.indices])
+        steps += 1
+    assert steps
+    last_phase2 = [c for c in contexts if c.phase == "phase2"][-1]
+    assert np.array_equal(res.safe_set, last_phase2.memorized)
+
+
+def test_phase2_computes_the_mask_once_per_epoch(monkeypatch):
+    ds, view, cfg, ckpt, _, _, _ = run_two_phase()
+    epochs = cfg.total_epochs - ckpt.epoch + 1
+    assert epochs >= 2
+    calls = []
+    original = mem.PredictionHistory.memorized_mask
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(mem.PredictionHistory, "memorized_mask", counting)
+    collector = metrics.MetricsCollector(ds, data.DataView(ds.features, ds.true_labels,
+                                                           ds.n_classes))
+    engine.phase2_train(ckpt, view, cfg, seed=11, observer=collector)
+    assert len(collector.rows) == epochs
+    assert len(calls) == epochs + 1  # one per epoch end, plus the checkpoint's
 
 
 def test_run_prestopping_composes():
@@ -236,5 +291,5 @@ def test_run_prestopping_composes():
     res = engine.run_prestopping(view, engine.StopHeuristic("validation", validation=val),
                                  SMALL_SPEC, small_config(epochs=6), q=3, seed=31)
     assert res.checkpoint.epoch <= 6
-    assert res.safe_set.n_total == view.n
+    assert res.safe_set.shape == (view.n,) and res.safe_set.dtype == bool
     assert res.final_state.epoch == 6

@@ -222,5 +222,11 @@ def test_sidecar_rejects_corruption(tmp_path):
     (tmp_path / "trunc.psth").write_bytes(raw[:-1])
     with pytest.raises(ValueError):
         mem.PredictionHistory.load(tmp_path / "trunc.psth", 3)
+    # cut inside the 13-byte header, and after sample 0's length byte but
+    # before its one label: a ValueError naming the file
+    for name, cut in (("head.psth", raw[:8]), ("body.psth", raw[:14])):
+        (tmp_path / name).write_bytes(cut)
+        with pytest.raises(ValueError, match=name):
+            mem.PredictionHistory.load(tmp_path / name, 3)
     with pytest.raises(ValueError):
         mem.PredictionHistory.load(path, 2)  # stored label 2 exceeds declared k=2

@@ -24,9 +24,9 @@ def test_snapshot_counts_add_up():
     g = rng.stream(5, "votes")
     hist.record_batch(np.arange(train.n), g.integers(0, 3, size=train.n))
     state = nn.init_state(nn.NetworkSpec((4, 6, 3)), rng.stream(1, "init"))
-    ctx = engine.EpochContext("phase1", 4, state, hist, 0.1, train_error=0.4)
-    row = metrics.snapshot_epoch(ctx, train, test)
     mask = hist.memorized_mask(train.noisy_labels)
+    ctx = engine.EpochContext("phase1", 4, state, hist, mask.copy(), 0.1, train_error=0.4)
+    row = metrics.snapshot_epoch(ctx, train, test)
     clean = train.noisy_labels == train.true_labels
     assert row.safe_set_size == mask.sum()
     assert row.memorized_true_count == np.count_nonzero(mask & clean)
@@ -180,6 +180,26 @@ def test_summary_json_round_trip(tmp_path):
     assert back == out
     runs = [metrics.RunSummary.from_dict(d) for d in back["runs"]]
     assert runs[0].stop_epoch == 20 and runs[-1].stop_epoch is None
+
+
+def test_summary_json_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "summary.json"
+    metrics.write_summary_json({"runs": []}, path)
+    before = path.read_bytes()
+
+    def dies_mid_write(obj, fh, **kwargs):
+        fh.write('{"runs": [')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(metrics.json, "dump", dies_mid_write)
+    with pytest.raises(KeyboardInterrupt):
+        metrics.write_summary_json(metrics.summarize(run_summaries()), path)
+    assert path.read_bytes() == before  # the old file survives whole
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]  # no temp left
+    monkeypatch.undo()
+    metrics.write_summary_json({"runs": [1]}, path)
+    assert metrics.read_summary_json(path) == {"runs": [1]}
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
 def test_plots_script_mentions_metrics(tmp_path):

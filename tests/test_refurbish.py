@@ -193,7 +193,8 @@ def test_plus_run_deterministic_and_records_everyone():
     ds = plus_problem()
     view = ds.train_view()
     cfg = nn.OptimizerConfig(base_lr=0.1, batch_size=32, total_epochs=5)
-    trusted = np.nonzero(ds.noisy_labels == ds.noisy_labels)[0][:60]  # arbitrary subset
+    trusted = np.zeros(view.n, dtype=bool)
+    trusted[:60] = True  # arbitrary subset
     a = refurbish.run_prestopping_plus(view, trusted, nn.NetworkSpec((4, 8, 3)),
                                        cfg, q=3, epsilon=0.05, seed=41)
     b = refurbish.run_prestopping_plus(view, trusted, nn.NetworkSpec((4, 8, 3)),
@@ -213,7 +214,7 @@ def test_plus_run_empty_everything_warns():
     cfg = nn.OptimizerConfig(base_lr=0.1, batch_size=32, total_epochs=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = refurbish.run_prestopping_plus(view, np.empty(0, dtype=np.int64),
+        out = refurbish.run_prestopping_plus(view, np.zeros(view.n, dtype=bool),
                                              nn.NetworkSpec((4, 8, 3)), cfg,
                                              q=3, epsilon=0.0, seed=43)
     assert any("empty" in str(w.message) for w in caught)
