@@ -383,8 +383,10 @@ def cmd_summarize(root: Path) -> int:
     runs = []
     for path in sorted(root.rglob("seed*/summary.json")):
         try:
-            runs += [metrics.RunSummary.from_dict(d)
-                     for d in metrics.read_summary_json(path).get("runs", [])]
+            summary = metrics.read_summary_json(path)
+            if not isinstance(summary, dict):
+                raise ValueError(f"expected a JSON object, got {type(summary).__name__}")
+            runs += [metrics.RunSummary.from_dict(d) for d in summary.get("runs", [])]
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 1

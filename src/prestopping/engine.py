@@ -119,30 +119,43 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
     labels are the per-sample training labels (default: the view's). member,
     an (n,) bool mask fixed for the epoch, restricts each batch's gradient to
     its members and divides by their count; None trains on every sample.
-    Batches without members are only forward-passed. Returns True when at
-    least one batch updated the parameters.
+    Batches without members are only forward-passed. Features, labels and
+    member mask are gathered once in shuffled order, so each batch is a
+    slice. Each sample's prediction comes from its batch's forward pass,
+    before that batch's update, and all of them are recorded in one write
+    after the last batch: every sample is in exactly one batch, and nothing
+    reads the histories mid-epoch. Returns True when at least one batch
+    updated the parameters.
     """
     labels = view.labels if labels is None else labels
-    shuffle = rng.stream(seed, "shuffle", epoch)
+    batches = _make_batches(view.n, config.batch_size, rng.stream(seed, "shuffle", epoch))
+    order = np.concatenate(batches)
+    features, labels = view.features[order], labels[order]
+    member = None if member is None else member[order]
+    preds = np.empty(view.n, dtype=np.intp)
     updated = False
-    for idx in _make_batches(view.n, config.batch_size, shuffle):
-        mask = None if member is None else member[idx]
-        n_used = len(idx) if mask is None else int(mask.sum())
+    lo = 0
+    for idx in batches:
+        hi = lo + len(idx)
+        mask = None if member is None else member[lo:hi]
+        n_used = hi - lo if mask is None else int(np.count_nonzero(mask))
         before = _snapshot_params(state) if step_hook is not None else None
         if n_used > 0:
-            _, grads, _, probs = nn.loss_grad_probs(view.features[idx], labels[idx], state,
+            _, grads, _, probs = nn.loss_grad_probs(features[lo:hi], labels[lo:hi], state,
                                                     sample_mask=mask, denom=n_used)
         else:
-            probs = nn.forward(view.features[idx], state)
-        histories.record_batch(idx, np.argmax(probs, axis=1))
+            probs = nn.forward(features[lo:hi], state)
+        np.argmax(probs, axis=1, out=preds[lo:hi])
         if n_used > 0:
             nn.sgd_step(state, grads, config, epoch)
             updated = True
         if step_hook is not None:
             after = _snapshot_params(state)
-            used = np.ones(len(idx), dtype=bool) if mask is None else mask.copy()
+            used = np.ones(hi - lo, dtype=bool) if mask is None else mask.copy()
             step_hook(StepRecord(epoch, idx.copy(), used, n_used,
                                  config.lr_at(epoch), *before, after[0], after[1]))
+        lo = hi
+    histories.record_batch(order, preds)
     state.epoch = epoch
     return updated
 

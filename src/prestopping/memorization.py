@@ -46,11 +46,12 @@ class PredictionHistory:
             raise ValueError("indices and labels disagree on shape")
         if len(indices) == 0:
             return
-        if indices.min() < 0 or indices.max() >= self.n_samples:
+        ordered = np.sort(indices)  # duplicates end up next to each other
+        if ordered[0] < 0 or ordered[-1] >= self.n_samples:
             raise ValueError(f"sample index out of range [0, {self.n_samples})")
         if labels.min() < 0 or labels.max() >= self.n_classes:
             raise ValueError(f"label out of range [0, {self.n_classes})")
-        if len(np.unique(indices)) != len(indices):
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate sample indices in one recording call")
         self._buf[indices, self._pos[indices]] = labels
         self._pos[indices] = (self._pos[indices] + 1) % self.q
@@ -153,13 +154,15 @@ class PredictionHistory:
             off += 1
             if length > q:
                 raise ValueError(f"{path}: sample {i} claims {length} entries, q={q}")
-            seq = np.frombuffer(raw, dtype=np.uint8, count=length, offset=off)
+            seq = raw[off:off + length]
             off += length
-            if len(seq) and seq.max() >= n_classes:
-                raise ValueError(f"{path}: sample {i} has label {seq.max()} "
+            if seq and max(seq) >= n_classes:
+                raise ValueError(f"{path}: sample {i} has label {max(seq)} "
                                  f">= n_classes {n_classes}")
-            for label in seq:
-                hist.record(i, int(label))
+            # what recording the labels one by one into an empty buffer leaves
+            hist._buf[i, :length] = np.frombuffer(seq, dtype=np.uint8)
+            hist._fill[i] = length
+            hist._pos[i] = length % q
         if off != len(raw):
             raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
         return hist

@@ -96,31 +96,73 @@ class Batch:
             raise ValueError("labels must be non-negative")
 
 
-@dataclass
+def _n_params(spec: NetworkSpec) -> int:
+    return sum(fan_in * fan_out + fan_out
+               for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]))
+
+
+def _layer_views(spec: NetworkSpec, flat: np.ndarray):
+    """Per-layer (weights, biases) views into a flat vector laid out W0, b0, W1, b1, ..."""
+    weights, biases, off = [], [], 0
+    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
+        weights.append(flat[off:off + fan_in * fan_out].reshape(fan_in, fan_out))
+        off += fan_in * fan_out
+        biases.append(flat[off:off + fan_out])
+        off += fan_out
+    return weights, biases
+
+
+def _layer_list(attr: str):
+    """List of per-layer views; assigning a list copies its arrays into them."""
+    def get(self):
+        return getattr(self, attr)
+
+    def set_(self, arrays):
+        views = getattr(self, attr)
+        if len(arrays) != len(views):
+            raise ValueError(f"expected {len(views)} layers, got {len(arrays)}")
+        for layer, (view, arr) in enumerate(zip(views, arrays)):
+            arr = np.asarray(arr, dtype=np.float64)
+            if arr.shape != view.shape:
+                raise ValueError(f"layer {layer} shape {arr.shape} != {view.shape}")
+            view[...] = arr
+    return property(get, set_)
+
+
 class NetworkState:
-    """Parameters plus momentum buffers; exclusively owned by one training run."""
-    spec: NetworkSpec
-    weights: list            # per layer (fan_in, fan_out)
-    biases: list             # per layer (fan_out,)
-    vel_w: list              # momentum buffers, same shapes as weights
-    vel_b: list
-    epoch: int = 0
-    rng_seed: int = 0
+    """Parameters plus momentum buffers; exclusively owned by one training run.
+
+    params and velocity are flat float64 vectors in the checkpoint body order
+    W0, b0, W1, b1, ...; weights, biases, vel_w and vel_b are per-layer views
+    into them, so they always agree with the vectors.
+    """
+    weights = _layer_list("_weights")  # per layer (fan_in, fan_out)
+    biases = _layer_list("_biases")    # per layer (fan_out,)
+    vel_w = _layer_list("_vel_w")      # momentum buffers, same shapes
+    vel_b = _layer_list("_vel_b")
+
+    def __init__(self, spec: NetworkSpec, weights, biases, vel_w, vel_b,
+                 epoch: int = 0, rng_seed: int = 0):
+        self.spec = spec
+        self.epoch = epoch
+        self.rng_seed = rng_seed
+        self.params = np.empty(_n_params(spec))
+        self.velocity = np.empty(_n_params(spec))
+        self._weights, self._biases = _layer_views(spec, self.params)
+        self._vel_w, self._vel_b = _layer_views(spec, self.velocity)
+        self.weights, self.biases, self.vel_w, self.vel_b = weights, biases, vel_w, vel_b
 
     def copy(self) -> "NetworkState":
-        return NetworkState(
-            spec=self.spec,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            vel_w=[v.copy() for v in self.vel_w],
-            vel_b=[v.copy() for v in self.vel_b],
-            epoch=self.epoch,
-            rng_seed=self.rng_seed,
-        )
+        return NetworkState(*self.__reduce__()[1])
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the views; pickled views would be loose copies
+        return NetworkState, (self.spec, self.weights, self.biases, self.vel_w, self.vel_b,
+                              self.epoch, self.rng_seed)
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self._weights)
 
 
 def init_state(spec: NetworkSpec, rng: np.random.Generator, rng_seed: int = 0) -> NetworkState:
@@ -222,7 +264,8 @@ def _backprop(acts, delta, state: NetworkState):
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
             # acts[layer] > 0 is the ReLU mask of this layer's preactivation
-            delta = (delta @ state.weights[layer].T) * (acts[layer] > 0.0)
+            delta = delta @ state.weights[layer].T
+            delta *= acts[layer] > 0.0
     return grad_w, grad_b
 
 
@@ -254,7 +297,7 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
         if sample_mask.shape != (n,):
             raise ValueError(f"sample_mask must have shape ({n},), got {sample_mask.shape}")
         delta *= sample_mask.astype(np.float64)[:, None]
-        used = per_sample[sample_mask.astype(bool)]
+        used = per_sample[sample_mask.astype(bool, copy=False)]
     delta /= float(denom)
     loss = float(used.sum()) / float(denom)
     grad_w, grad_b = _backprop(acts, delta, state)
@@ -262,19 +305,23 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
 
 
 def sgd_step(state: NetworkState, grads, config: OptimizerConfig, epoch: int) -> NetworkState:
-    """v <- momentum*v + grad; params <- params - lr(epoch)*v. Mutates state."""
+    """v <- momentum*v + grad; params <- params - lr(epoch)*v. Mutates state.
+
+    One update over the flat vectors: the per-layer gradients are laid out in
+    the same W0, b0, W1, b1, ... order first.
+    """
     grad_w, grad_b = grads
-    lr = config.lr_at(epoch)
-    for layer in range(state.n_layers):
-        if grad_w[layer].shape != state.weights[layer].shape:
-            raise ValueError(f"layer {layer} gradient shape {grad_w[layer].shape} "
-                             f"!= weight shape {state.weights[layer].shape}")
-        state.vel_w[layer] *= config.momentum
-        state.vel_w[layer] += grad_w[layer]
-        state.vel_b[layer] *= config.momentum
-        state.vel_b[layer] += grad_b[layer]
-        state.weights[layer] -= lr * state.vel_w[layer]
-        state.biases[layer] -= lr * state.vel_b[layer]
+    flat = []
+    for layer, (w, b) in enumerate(zip(state.weights, state.biases)):
+        for grad, param in ((grad_w[layer], w), (grad_b[layer], b)):
+            if grad.shape != param.shape:
+                raise ValueError(f"layer {layer} gradient shape {grad.shape} "
+                                 f"!= parameter shape {param.shape}")
+            flat.append(grad.ravel())
+    v = state.velocity
+    v *= config.momentum
+    v += np.concatenate(flat)
+    state.params -= config.lr_at(epoch) * v
     return state
 
 
@@ -309,12 +356,8 @@ def save_network(state: NetworkState, path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        for w, b in zip(state.weights, state.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        for vw, vb in zip(state.vel_w, state.vel_b):
-            fh.write(np.ascontiguousarray(vw, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(vb, dtype="<f8").tobytes())
+        fh.write(np.asarray(state.params, dtype="<f8").tobytes())
+        fh.write(np.asarray(state.velocity, dtype="<f8").tobytes())
 
 
 def load_network(path, epoch: int = 0, rng_seed: int = 0) -> NetworkState:
@@ -328,28 +371,15 @@ def load_network(path, epoch: int = 0, rng_seed: int = 0) -> NetworkState:
         sizes = struct.unpack_from(f"<{n_sizes}I", raw, 9)
     except struct.error:
         raise ValueError(f"{path}: truncated header ({len(raw)} bytes)") from None
-    spec = NetworkSpec(tuple(int(s) for s in sizes))
+    try:
+        spec = NetworkSpec(tuple(int(s) for s in sizes))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header: {exc}") from None
     off = 9 + 4 * n_sizes
-    shapes = list(zip(sizes[:-1], sizes[1:]))
-    body = 16 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
-    if len(raw) - off != body:  # parameters, then momentum buffers of the same shapes
-        raise ValueError(f"{path}: expected {body} bytes of parameters and momentum "
+    count = _n_params(spec)
+    if len(raw) - off != 16 * count:  # parameters, then momentum buffers of the same shapes
+        raise ValueError(f"{path}: expected {16 * count} bytes of parameters and momentum "
                          f"after the header, got {len(raw) - off}")
-
-    def take(shape):
-        nonlocal off
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-        off += 8 * count
-        return arr
-
-    weights = []
-    biases = []
-    for fan_in, fan_out in shapes:
-        weights.append(take((fan_in, fan_out)))
-        biases.append(take((fan_out,)))
-    vel_w, vel_b = [], []
-    for fan_in, fan_out in shapes:
-        vel_w.append(take((fan_in, fan_out)))
-        vel_b.append(take((fan_out,)))
-    return NetworkState(spec, weights, biases, vel_w, vel_b, epoch=epoch, rng_seed=rng_seed)
+    body = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=off)
+    return NetworkState(spec, *_layer_views(spec, body[:count]),
+                        *_layer_views(spec, body[count:]), epoch=epoch, rng_seed=rng_seed)

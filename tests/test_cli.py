@@ -267,11 +267,13 @@ def test_summarize_names_unreadable_summary(tmp_path, capsys):
     assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0")) == 0
     broken = tmp_path / "default" / "other" / "seed1" / "summary.json"
     broken.parent.mkdir(parents=True)
-    broken.write_text('{"runs": [')  # a run killed mid-write, before atomic writes
-    capsys.readouterr()
-    rc = cli.main(["summarize", "--dir", str(tmp_path)])
-    assert rc == 1
-    assert str(broken) in capsys.readouterr().err
+    # a run killed mid-write, before atomic writes; then valid JSON that is no object
+    for text in ('{"runs": [', "[]"):
+        broken.write_text(text)
+        capsys.readouterr()
+        rc = cli.main(["summarize", "--dir", str(tmp_path)])
+        assert rc == 1
+        assert f"cannot read {broken}" in capsys.readouterr().err
 
 
 def test_summarize_empty_dir_fails(tmp_path, capsys):

@@ -57,6 +57,29 @@ def test_batches_partition_every_sample_once():
     assert not all(np.array_equal(a, b) for a, b in zip(batches, other))
 
 
+def test_train_epoch_records_each_sample_once_with_its_pre_update_prediction():
+    # one history entry per sample per epoch: the argmax of its batch's forward
+    # pass under the parameters before that batch's update
+    view = toy_problem(tau=0.3, seed=17).train_view()
+    cfg = small_config(epochs=3)
+    state = nn.init_state(SMALL_SPEC, rng.stream(17, "init"))
+    hist = mem.PredictionHistory(view.n, 3, view.n_classes)
+    member = rng.stream(17, "member").random(view.n) < 0.5
+    for epoch in (1, 2, 3):
+        records = []
+        engine.train_epoch(view, state, hist, cfg, epoch, 17,
+                           member=member if epoch == 2 else None, step_hook=records.append)
+        seen = np.concatenate([rec.indices for rec in records])
+        assert np.array_equal(np.sort(seen), np.arange(view.n))
+        assert all(hist.history_length(i) == epoch for i in range(view.n))
+        for rec in records:
+            before = nn.NetworkState(SMALL_SPEC, rec.weights_before, rec.biases_before,
+                                     rec.vel_w_before, rec.vel_b_before)
+            want = np.argmax(nn.forward(view.features[rec.indices], before), axis=1)
+            got = [hist.history_of(i)[-1] for i in rec.indices]
+            assert np.array_equal(got, want), (epoch, rec.indices)
+
+
 # ----- phase I -----
 
 def test_noise_rate_stops_at_zero_error_on_separable_data():

@@ -1,5 +1,9 @@
 """Network core: forward/gradient oracles, optimizer arithmetic, checkpoint IO."""
 
+import copy
+import pickle
+import struct
+
 import numpy as np
 import pytest
 
@@ -363,3 +367,58 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
         (tmp_path / name).write_bytes(cut)
         with pytest.raises(ValueError, match=name):
             nn.load_network(tmp_path / name)
+    # headers NetworkSpec rejects: one layer width (13 bytes), and a zero width
+    for name, header in (("one.pstp", struct.pack("<II", 1, 3)),
+                         ("zero.pstp", struct.pack("<III", 2, 3, 0))):
+        (tmp_path / name).write_bytes(nn.CHECKPOINT_MAGIC + header)
+        with pytest.raises(ValueError, match=name):
+            nn.load_network(tmp_path / name)
+
+
+def straight_line_checkpoint(state):
+    """PSTP1 bytes written field by field: per layer W then b, then the momentum."""
+    sizes = state.spec.layer_sizes
+    out = [b"PSTP1", struct.pack("<I", len(sizes)), struct.pack(f"<{len(sizes)}I", *sizes)]
+    for arrays in ((state.weights, state.biases), (state.vel_w, state.vel_b)):
+        for w, b in zip(*arrays):
+            out += [np.asarray(w, dtype="<f8").tobytes(), np.asarray(b, dtype="<f8").tobytes()]
+    return b"".join(out)
+
+
+def test_checkpoint_bytes_are_per_layer_w_then_b(tmp_path):
+    state = small_state(5, sizes=(3, 6, 5, 4))
+    g = rng.stream(2, "x")
+    x, y = g.normal(size=(10, 3)), g.integers(0, 4, size=10)
+    cfg = nn.OptimizerConfig()
+    for _ in range(3):
+        _, grads, _, _ = nn.loss_grad_probs(x, y, state)
+        nn.sgd_step(state, grads, cfg, epoch=1)
+    path = tmp_path / "net.pstp"
+    want = straight_line_checkpoint(state)
+    nn.save_network(state, path)
+    assert path.read_bytes() == want
+    # the same numbers laid out all W first, then all b, are a different file
+    all_w_first = [np.concatenate([w.ravel() for w in ws] + list(bs))
+                   for ws, bs in ((state.weights, state.biases), (state.vel_w, state.vel_b))]
+    state.params[:], state.velocity[:] = all_w_first
+    nn.save_network(state, path)
+    assert path.read_bytes() != want
+
+
+def test_state_lists_are_views_of_the_flat_vectors():
+    state = small_state(3, sizes=(3, 6, 5, 4))
+    layers = [a for pair in zip(state.weights, state.biases) for a in pair]
+    assert np.array_equal(state.params, np.concatenate([a.ravel() for a in layers]))
+    assert all(np.shares_memory(a, state.params) for a in layers)
+    assert all(np.shares_memory(v, state.velocity) for v in state.vel_w + state.vel_b)
+    # assigning a list writes into the vector, so sgd_step still moves what forward reads
+    state.biases = [np.full(b.shape, 0.5) for b in state.biases]
+    assert all(np.shares_memory(b, state.params) and np.all(b == 0.5) for b in state.biases)
+    with pytest.raises(ValueError):
+        state.biases = [np.zeros(6), np.zeros(5), np.zeros(3)]
+    for dup in (state.copy(), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert np.array_equal(dup.params, state.params) and dup.epoch == state.epoch
+        dup.params += 1.0
+        dup.velocity += 1.0
+        assert np.array_equal(dup.weights[0], state.weights[0] + 1.0)
+        assert np.all(dup.vel_b[-1] == 1.0) and not state.vel_b[-1].any()
