@@ -2,7 +2,9 @@
 
 Each seed is an isolated job: the data, noise, init and shuffle streams are all
 derived from that seed, so reruns reproduce bit-identical metrics files and
-seeds can execute in parallel. Layout per run:
+seeds can execute in parallel. A Prestopping seed also runs its Phase II in a
+forked child process beside Phase I (run_prestopping_overlapped). Layout per
+run, written whole:
 
     <out>/<method>/<noise>_<tau>/seed<k>/
         metrics.csv        one row per epoch (all phases)
@@ -18,9 +20,16 @@ Exit codes: 0 success, 1 any run failed, 2 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import multiprocessing
+import os
+import pickle
+import shutil
 import sys
 import time
 import configparser
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -224,6 +233,137 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
     return data.split(full, spec)
 
 
+def _openblas_threads():
+    """(get, set) thread-count functions of NumPy's bundled OpenBLAS, or None."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with NumPy's OpenBLAS on one thread (a no-op for other BLAS builds).
+
+    The two processes of an overlapped run already occupy two cores; further
+    BLAS threads only contend with them for the cores. OpenBLAS splits a GEMM
+    over output blocks, not over its sums, so no output byte depends on the
+    thread count; the overlap tests compare against serial runs at the
+    default count.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _phase2_child(conn, ckpt, view, opt, seed, collector) -> None:
+    """Forked child body: Phase II from ckpt, sent back once over conn.
+
+    Sends (outcome, warnings): outcome is (state, safe mask, histories, rows,
+    histogram) or the exception Phase II raised; the warnings it issued are
+    re-issued by the parent.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            state, safe, histories = engine.phase2_train(ckpt, view, opt, seed,
+                                                         observer=collector)
+            outcome = (state, safe, histories, collector.rows, collector.histogram)
+        except Exception as exc:
+            outcome = exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception that cannot cross travels as its text
+                outcome = RuntimeError(f"{type(exc).__name__}: {exc}")
+    conn.send((outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+
+
+class _Phase2Process:
+    """Phase II of one seed in a forked child, restarted from each new checkpoint.
+
+    At most one child is alive: restart kills and reaps the running one first.
+    The child starts from a copy-on-write image of this process, so nothing is
+    pickled on the way in; its result comes back over a one-way pipe.
+    """
+
+    def __init__(self, view, opt, seed: int, collector: metrics.MetricsCollector):
+        self.view, self.opt, self.seed, self.collector = view, opt, seed, collector
+        self._proc = self._conn = None
+
+    def restart(self, ckpt: engine.Checkpoint) -> None:
+        self.stop()
+        fork = multiprocessing.get_context("fork")
+        self._conn, send = fork.Pipe(duplex=False)
+        fresh = metrics.MetricsCollector(self.collector.train_ds, self.collector.test_view)
+        self._proc = fork.Process(target=_phase2_child,
+                                  args=(send, ckpt, self.view, self.opt, self.seed, fresh))
+        self._proc.start()
+        send.close()  # the child holds the only write end: its death reads as EOF
+
+    def stop(self) -> None:
+        """Kill and reap the running child, if any."""
+        if self._proc is not None:
+            self._proc.kill()
+            self._proc.join()
+            self._conn.close()
+            self._proc = self._conn = None
+
+    def result(self):
+        """Wait for the last started child: (state, safe mask, histories, rows, histogram)."""
+        try:
+            outcome, caught = self._conn.recv()
+        except EOFError:
+            self._proc.join()
+            raise RuntimeError(f"seed {self.seed}: Phase II process exited with code "
+                               f"{self._proc.exitcode} without a result") from None
+        self._proc.join()
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+
+def run_prestopping_overlapped(view, heuristic: engine.StopHeuristic, net_spec, opt,
+                               q: int, seed: int,
+                               collector: metrics.MetricsCollector) -> engine.PrestopResult:
+    """engine.run_prestopping, with Phase II run beside the rest of Phase I.
+
+    Each checkpoint Phase I takes restarts Phase II from it in a child
+    process, so Phase II from the final checkpoint overlaps Phase I's
+    remaining epochs. The child's rows follow Phase I's, and its histogram is
+    adopted only when Phase I captured none: the serial observer order, so
+    every output is byte-identical to the serial run's. The child is forked,
+    so the caller must run no other threads (the CLI process and its pool
+    workers run none).
+    """
+    phase2 = _Phase2Process(view, opt, seed, collector)
+    with _one_blas_thread():  # the child inherits the setting
+        try:
+            ckpt = engine.phase1_train(view, heuristic, net_spec, opt, q, seed, collector,
+                                       on_checkpoint=phase2.restart)
+            state, safe, histories, rows, histogram = phase2.result()
+        finally:
+            phase2.stop()
+    collector.rows += rows
+    if collector.histogram is None:
+        collector.histogram = histogram
+    return engine.PrestopResult(ckpt, state, safe, histories)
+
+
 def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
     """Dispatch on method; returns (checkpoint or None, plus result or None)."""
     view = train_ds.train_view()
@@ -233,8 +373,7 @@ def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
         engine.run_default(view, net, opt, cfg.q, seed, observer=collector)
         return None, None
     heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
-    result = engine.run_prestopping(view, heur, net, opt, cfg.q, seed,
-                                    observer=collector)
+    result = run_prestopping_overlapped(view, heur, net, opt, cfg.q, seed, collector)
     if cfg.method == "prestopping":
         return result.checkpoint, None
     plus = refurbish.run_prestopping_plus(view, result.safe_set, net, opt,
@@ -250,31 +389,56 @@ def _write_refurbished_csv(refurb, path) -> None:
             fh.write(f"{i},{refurb.labels[i]},{repr(float(refurb.entropy[i]))}\n")
 
 
+@contextlib.contextmanager
+def _whole_directory(final: Path):
+    """Yield a hidden sibling directory to fill; it replaces final once the block completes.
+
+    The swap is two renames, so final holds either its old files or all the
+    new ones; on an error final is left as it was and the sibling is removed.
+    """
+    final.parent.mkdir(parents=True, exist_ok=True)
+    tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+    old = final.with_name(f".{final.name}.{os.getpid()}.old")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir()
+    try:
+        yield tmp
+        if final.exists():
+            os.rename(final, old)
+        os.rename(tmp, final)
+        shutil.rmtree(old, ignore_errors=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def run_single(cfg: ExperimentConfig, seed: int) -> metrics.RunSummary:
-    """One seeded run: train, then write every artifact into the run directory."""
+    """One seeded run: train, then write every artifact into the run directory.
+
+    The run directory is written whole: a rerun leaves no stale file behind,
+    and a run that fails leaves any earlier run directory untouched.
+    """
     t0 = time.perf_counter()
     train_ds, val_view, test_view = build_dataset(cfg, seed)
     collector = metrics.MetricsCollector(train_ds, test_view)
     ckpt, plus = _train_one(cfg, seed, train_ds, val_view, collector)
-    run_dir = cfg.run_dir(seed)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    metrics.write_metrics_csv(collector.rows, run_dir / "metrics.csv")
-    if collector.histogram is not None:
-        metrics.write_histogram_csv(collector.histogram,
-                                    run_dir / f"hist_{collector.histogram.epoch}.csv")
-    metrics.write_plots_gp(run_dir / "plots.gp")
-    if ckpt is not None:
-        nn.save_network(ckpt.state, run_dir / "checkpoint_net.pstp")
-        ckpt.histories.save(run_dir / "checkpoint_hist.psth")
-    if plus is not None:
-        _write_refurbished_csv(plus.refurbished, run_dir / "refurbished.csv")
-    heuristic = cfg.heuristic if cfg.method != "default" else None
-    summary = metrics.RunSummary(cfg.method, heuristic, cfg.noise, cfg.tau_value,
-                                 cfg.q, seed, collector.best_test_error,
-                                 ckpt.epoch if ckpt is not None else None,
-                                 time.perf_counter() - t0)
-    metrics.write_summary_json(metrics.summarize([summary]),
-                               run_dir / "summary.json")
+    with _whole_directory(cfg.run_dir(seed)) as run_dir:
+        metrics.write_metrics_csv(collector.rows, run_dir / "metrics.csv")
+        if collector.histogram is not None:
+            metrics.write_histogram_csv(collector.histogram,
+                                        run_dir / f"hist_{collector.histogram.epoch}.csv")
+        metrics.write_plots_gp(run_dir / "plots.gp")
+        if ckpt is not None:
+            nn.save_network(ckpt.state, run_dir / "checkpoint_net.pstp")
+            ckpt.histories.save(run_dir / "checkpoint_hist.psth")
+        if plus is not None:
+            _write_refurbished_csv(plus.refurbished, run_dir / "refurbished.csv")
+        heuristic = cfg.heuristic if cfg.method != "default" else None
+        summary = metrics.RunSummary(cfg.method, heuristic, cfg.noise, cfg.tau_value,
+                                     cfg.q, seed, collector.best_test_error,
+                                     ckpt.epoch if ckpt is not None else None,
+                                     time.perf_counter() - t0)
+        metrics.write_summary_json(metrics.summarize([summary]),
+                                   run_dir / "summary.json")
     return summary
 
 

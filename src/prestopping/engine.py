@@ -193,8 +193,14 @@ def run_epochs(phase: str, view: DataView, state, histories: PredictionHistory, 
 
 def phase1_train(view: DataView, heuristic: StopHeuristic, net_spec: nn.NetworkSpec,
                  config: nn.OptimizerConfig, q: int, seed: int,
-                 observer: Optional[Observer] = None) -> Checkpoint:
-    """Standard training with the stop heuristic watching epoch-end errors."""
+                 observer: Optional[Observer] = None,
+                 on_checkpoint: Optional[Callable[[Checkpoint], None]] = None) -> Checkpoint:
+    """Standard training with the stop heuristic watching epoch-end errors.
+
+    on_checkpoint sees every checkpoint that may become the returned one, as
+    soon as it is taken: each new best under the validation heuristic (the
+    last call's is returned), the trigger checkpoint under noise_rate.
+    """
     state = nn.init_state(net_spec, rng.stream(seed, "init"), rng_seed=seed)
     histories = PredictionHistory(view.n, q, view.n_classes)
     by_validation = heuristic.kind == "validation"
@@ -202,11 +208,17 @@ def phase1_train(view: DataView, heuristic: StopHeuristic, net_spec: nn.NetworkS
     for ctx in run_epochs("phase1", view, state, histories, config, seed, 1, None, observer,
                           heuristic.validation if by_validation else None):
         if by_validation:
-            if is_improvement(ctx.validation_error, best.trigger_value if best else None):
-                best = Checkpoint(state.copy(), histories.copy(), ctx.epoch,
-                                  ctx.validation_error)
-        elif ctx.train_error <= heuristic.tau:
-            return Checkpoint(state.copy(), histories.copy(), ctx.epoch, ctx.train_error)
+            trigger = ctx.validation_error
+            taken = is_improvement(trigger, best.trigger_value if best else None)
+        else:
+            trigger = ctx.train_error
+            taken = trigger <= heuristic.tau
+        if taken:
+            best = Checkpoint(state.copy(), histories.copy(), ctx.epoch, trigger)
+            if on_checkpoint is not None:
+                on_checkpoint(best)
+            if not by_validation:
+                return best
     if by_validation:
         return best
     raise StopPointNotReached(ctx.train_error, heuristic.tau, config.total_epochs)
@@ -263,7 +275,11 @@ def run_prestopping(view: DataView, heuristic: StopHeuristic, net_spec: nn.Netwo
                     config: nn.OptimizerConfig, q: int, seed: int,
                     observer: Optional[Observer] = None,
                     step_hook: Optional[StepHook] = None) -> PrestopResult:
-    """Full two-phase run: Phase I to the stop point, Phase II to the end."""
+    """Full two-phase run: Phase I to the stop point, Phase II to the end.
+
+    The serial composition; cli.run_prestopping_overlapped must match it byte
+    for byte.
+    """
     ckpt = phase1_train(view, heuristic, net_spec, config, q, seed, observer)
     state, safe, histories = phase2_train(ckpt, view, config, seed, observer, step_hook)
     return PrestopResult(ckpt, state, safe, histories)

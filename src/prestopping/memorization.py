@@ -128,13 +128,19 @@ class PredictionHistory:
     # followed by that many u8 labels, oldest first
 
     def save(self, path) -> None:
+        # row i of table is sample i's length byte, then its ring oldest first
+        # (a full ring starts at the write position); the cells past each
+        # length are masked out, and row-major order concatenates the records
+        start = np.where(self._fill == self.q, self._pos, 0)
+        ring = (start[:, None] + np.arange(self.q)) % self.q
+        table = np.empty((self.n_samples, self.q + 1), dtype=np.uint8)
+        table[:, 0] = self._fill
+        table[:, 1:] = np.take_along_axis(self._buf, ring, axis=1)
+        body = table[np.arange(self.q + 1) <= self._fill[:, None]]
         with open(path, "wb") as fh:
             fh.write(HISTORY_MAGIC)
             fh.write(struct.pack("<II", self.n_samples, self.q))
-            for i in range(self.n_samples):
-                seq = self.history_of(i)
-                fh.write(struct.pack("<B", len(seq)))
-                fh.write(seq.astype(np.uint8).tobytes())
+            fh.write(body.tobytes())
 
     @classmethod
     def load(cls, path, n_classes: int) -> "PredictionHistory":

@@ -1,10 +1,14 @@
 """Command-line runner: config handling, exit codes, layout, determinism."""
 
 import json
+import multiprocessing
+import os
+import time
+import warnings
 
 import pytest
 
-from prestopping import cli, data, metrics
+from prestopping import cli, data, engine, metrics, nn
 
 ROOT_CFG = "configs/default.cfg"
 
@@ -280,3 +284,164 @@ def test_summarize_empty_dir_fails(tmp_path, capsys):
     rc = cli.main(["summarize", "--dir", str(tmp_path)])
     assert rc == 1
     assert "no run summaries" in capsys.readouterr().err
+
+
+# ----- seed directories are written whole -----
+
+def test_rerun_leaves_no_stale_files(tmp_path):
+    seed_dir = tmp_path / "default" / "pair_0.3" / "seed0"
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0")) == 0
+    assert list(seed_dir.glob("hist_*.csv"))
+    # classes this far apart stay below 50% training accuracy: no histogram
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0",
+                                         epochs=2, spread=20)) == 0
+    assert not list(seed_dir.glob("hist_*.csv"))
+    assert len(metrics.read_metrics_csv(seed_dir / "metrics.csv")) == 2
+    assert [p.name for p in seed_dir.parent.iterdir()] == ["seed0"]
+
+
+def test_failed_write_leaves_no_partial_directory(tmp_path, monkeypatch, capsys):
+    noise_dir = tmp_path / "default" / "pair_0.3"
+
+    def broken(path):
+        raise OSError(f"cannot write {path.name}")
+
+    monkeypatch.setattr(metrics, "write_plots_gp", broken)  # after metrics.csv
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0")) == 1
+    assert "OSError: cannot write plots.gp" in capsys.readouterr().err
+    assert list(noise_dir.iterdir()) == []
+
+    # a failed rerun leaves the earlier complete directory as it was
+    monkeypatch.undo()
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0")) == 0
+    before = {p.name: p.read_bytes() for p in (noise_dir / "seed0").iterdir()}
+    monkeypatch.setattr(metrics, "write_plots_gp", broken)
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0",
+                                         epochs=2)) == 1
+    assert {p.name: p.read_bytes() for p in (noise_dir / "seed0").iterdir()} == before
+    assert [p.name for p in noise_dir.iterdir()] == ["seed0"]
+
+
+# ----- Phase II in a child process -----
+
+def tiny_config(**kw):
+    flags = tiny_flags("unused", **kw)
+    return cli.build_config(None, {k[2:]: v for k, v in zip(flags[::2], flags[1::2])})
+
+
+def serial_and_overlapped(cfg, seed):
+    """[(PrestopResult, MetricsCollector)] of engine.run_prestopping, then of the overlapped run."""
+    train_ds, val_view, test_view = cli.build_dataset(cfg, seed)
+    view = train_ds.train_view()
+    net = cfg.net_spec(view.features.shape[1], view.n_classes)
+    heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
+    runs = []
+    for run in (engine.run_prestopping, cli.run_prestopping_overlapped):
+        collector = metrics.MetricsCollector(train_ds, test_view)
+        runs.append((run(view, heur, net, cfg.optimizer(), cfg.q, seed, collector), collector))
+    return runs
+
+
+def run_bytes(result, collector, work) -> dict:
+    """Every output of one two-phase run, as bytes or exact values; work is a new directory."""
+    work.mkdir()
+    nn.save_network(result.checkpoint.state, work / "ckpt.pstp")
+    result.checkpoint.histories.save(work / "ckpt.psth")
+    nn.save_network(result.final_state, work / "final.pstp")
+    metrics.write_metrics_csv(collector.rows, work / "metrics.csv")
+    out = {p.name: p.read_bytes() for p in work.iterdir()}
+    hist = collector.histogram
+    out["histogram"] = hist.epoch, hist.edges.tobytes(), hist.clean_counts.tobytes(), \
+        hist.noisy_counts.tobytes()
+    out["checkpoint"] = result.checkpoint.epoch, result.checkpoint.trigger_value
+    out["final_epoch"] = result.final_state.epoch
+    out["safe_set"] = result.safe_set.tobytes()
+    h = result.histories
+    out["histories"] = h.q, h._buf.tobytes(), h._fill.tobytes(), h._pos.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("histogram_phase", ["phase1", "phase2"])
+def test_overlapped_run_is_byte_identical_to_serial(tmp_path, monkeypatch, histogram_phase):
+    restarts, restart = [], cli._Phase2Process.restart
+
+    def counted(self, ckpt):
+        restarts.append(ckpt.epoch)
+        restart(self, ckpt)
+
+    monkeypatch.setattr(cli._Phase2Process, "restart", counted)
+    if histogram_phase == "phase2":
+        observe = metrics.MetricsCollector.__call__
+
+        def phase2_histogram(self, ctx):
+            observe(self, ctx)
+            if ctx.phase == "phase1":
+                self.histogram = None  # no capture in Phase I: the child's is adopted
+
+        monkeypatch.setattr(metrics.MetricsCollector, "__call__", phase2_histogram)
+    (serial, s_col), (overlapped, o_col) = serial_and_overlapped(tiny_config(epochs=8), 0)
+    assert len(restarts) >= 2  # at least one child was killed and replaced
+    assert restarts[-1] == serial.checkpoint.epoch
+    capture = next(r for r in s_col.rows if r.phase == histogram_phase and r.train_error < 0.5)
+    assert s_col.histogram.epoch == capture.epoch
+    assert run_bytes(overlapped, o_col, tmp_path / "o") == \
+        run_bytes(serial, s_col, tmp_path / "s")
+    assert multiprocessing.active_children() == []
+
+
+def failed_seed(tmp_path, capsys) -> str:
+    """Run one tiny prestopping seed that must fail; returns its error text."""
+    assert cli.main(["run"] + tiny_flags(tmp_path, seeds="0")) == 1
+    error = metrics.read_summary_json(tmp_path / "summary.json")["failures"][0]["error"]
+    assert f"seed 0 failed: {error}" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "prestopping" / "pair_0.3" / "seed0").exists()
+    return error
+
+
+def test_phase2_error_fails_the_seed_as_in_a_serial_run(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("phase two broke")
+
+    monkeypatch.setattr(engine, "phase2_train", broken)
+    assert failed_seed(tmp_path, capsys) == "ValueError: phase two broke"
+
+
+def test_phase2_process_death_names_seed_and_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(engine, "phase2_train", lambda *args, **kwargs: os._exit(3))
+    assert failed_seed(tmp_path, capsys) == \
+        "RuntimeError: seed 0: Phase II process exited with code 3 without a result"
+
+
+def test_phase1_error_kills_the_running_phase2(tmp_path, monkeypatch, capsys):
+    phase1 = engine.phase1_train
+
+    def failing_after_checkpoint(*args, on_checkpoint, **kwargs):
+        taken = []
+
+        def restart_then_fail(ckpt):
+            on_checkpoint(ckpt)
+            taken.append(ckpt)
+            assert len(multiprocessing.active_children()) == 1  # the old child is gone
+            if len(taken) == 2:
+                raise RuntimeError("phase one broke")
+        return phase1(*args, on_checkpoint=restart_then_fail, **kwargs)
+
+    monkeypatch.setattr(engine, "phase1_train", failing_after_checkpoint)
+    monkeypatch.setattr(engine, "phase2_train", lambda *args, **kwargs: time.sleep(60))
+    t0 = time.perf_counter()
+    assert failed_seed(tmp_path, capsys) == "RuntimeError: phase one broke"
+    assert time.perf_counter() - t0 < 30  # killed, not waited for
+
+
+def test_phase2_warnings_reach_the_parent(monkeypatch):
+    phase2, parent = engine.phase2_train, os.getpid()
+
+    def warning_phase2(*args, **kwargs):
+        if os.getpid() != parent:
+            warnings.warn("from the Phase II process", RuntimeWarning)
+        return phase2(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "phase2_train", warning_phase2)
+    with pytest.warns(RuntimeWarning, match="from the Phase II process"):
+        serial_and_overlapped(tiny_config(), 0)

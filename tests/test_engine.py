@@ -128,6 +128,42 @@ def test_validation_checkpoint_is_first_minimum():
     assert ckpt.epoch == seen.index(best) + 1
 
 
+def test_on_checkpoint_sees_each_validation_improvement_in_order():
+    ds = toy_problem(tau=0.3)
+    train, val, _ = data.split(ds, data.SplitSpec(20, 0, seed=3))
+    seen, calls = [], []
+    ckpt = engine.phase1_train(train.train_view(),
+                               engine.StopHeuristic("validation", validation=val),
+                               SMALL_SPEC, small_config(epochs=8), q=3, seed=3,
+                               observer=lambda ctx: seen.append(ctx.validation_error),
+                               on_checkpoint=calls.append)
+    improved = [epoch for epoch, err in enumerate(seen, start=1)
+                if err < min(seen[:epoch - 1], default=np.inf)]
+    assert len(improved) >= 2
+    assert [c.epoch for c in calls] == improved
+    assert [c.trigger_value for c in calls] == [seen[e - 1] for e in improved]
+    assert calls[-1] is ckpt
+
+
+def test_on_checkpoint_sees_the_noise_rate_trigger_once():
+    calls = []
+    ckpt = engine.phase1_train(toy_problem(tau=0.3).train_view(),
+                               engine.StopHeuristic("noise_rate", tau=0.5),
+                               SMALL_SPEC, small_config(epochs=30), q=3, seed=2,
+                               on_checkpoint=calls.append)
+    assert calls == [ckpt]
+
+
+def test_on_checkpoint_never_called_without_a_stop_point():
+    view = data.DataView(np.zeros((8, 4)), np.array([0, 1] * 4), 3)
+    calls = []
+    with pytest.raises(engine.StopPointNotReached):
+        engine.phase1_train(view, engine.StopHeuristic("noise_rate", tau=0.0),
+                            SMALL_SPEC, small_config(epochs=3), q=3, seed=0,
+                            on_checkpoint=calls.append)
+    assert calls == []
+
+
 def test_default_run_matches_phase1_trajectory_bitwise():
     ds = toy_problem(tau=0.3)
     train, val, _ = data.split(ds, data.SplitSpec(20, 0, seed=3))

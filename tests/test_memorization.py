@@ -1,5 +1,6 @@
 """Prediction histories and the memorization predicate against a full-log oracle."""
 
+import struct
 from collections import Counter
 
 import numpy as np
@@ -208,6 +209,32 @@ def test_sidecar_round_trip(tmp_path):
         assert np.array_equal(back.history_of(i), h.history_of(i))
     noisy = g.integers(0, 5, size=20)
     assert np.array_equal(back.memorized_mask(noisy), h.memorized_mask(noisy))
+
+
+def reference_sidecar(oracle, n, q) -> bytes:
+    """PSTH1 bytes written record by record from the full-log oracle."""
+    out = bytearray(mem.HISTORY_MAGIC + struct.pack("<II", n, q))
+    for i in range(n):
+        window = oracle.window(i)
+        out += bytes([len(window)]) + bytes(window)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("q,rounds", [(4, 2), (4, 4), (4, 9), (1, 3), (5, 23)])
+def test_sidecar_bytes_match_record_by_record_writer(tmp_path, q, rounds):
+    # rounds < q leaves every ring partly filled; more rounds wrap some rings
+    # at varying write positions, since each round records a random subset
+    n, k = 30, 6
+    g = rng.stream(q * 100 + rounds, "sidecar-bytes")
+    h, oracle = mem.PredictionHistory(n, q, k), FullLogOracle(n, q, k)
+    for _ in range(rounds):
+        idx = g.permutation(n)[:g.integers(1, n)]
+        labels = g.integers(0, k, size=len(idx))
+        h.record_batch(idx, labels)
+        for i, label in zip(idx, labels):
+            oracle.record(i, label)
+    h.save(tmp_path / "hist.psth")
+    assert (tmp_path / "hist.psth").read_bytes() == reference_sidecar(oracle, n, q)
 
 
 def test_sidecar_rejects_corruption(tmp_path):
