@@ -110,8 +110,9 @@ class ExperimentConfig:
         if self.data_csv is not None and not Path(self.data_csv).is_file():
             bad("data_csv", f"file not found: {self.data_csv}")
         if self.data_csv is None:
-            if self.n_classes < 2:
-                bad("n_classes", "need at least 2 classes")
+            if not 2 <= self.n_classes <= memorization.MAX_CLASSES:
+                bad("n_classes", f"must lie in [2, {memorization.MAX_CLASSES}], "
+                    f"got {self.n_classes}")
             if self.per_class < 1:
                 bad("per_class", "need at least 1 sample per class")
             if self.dim < 1:
@@ -526,15 +527,13 @@ def cmd_grid_q(cfg: ExperimentConfig, grid: tuple) -> int:
         if all_summaries else {}
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "grid_q.csv", "w") as fh:
-        fh.write("q,n_runs,mean_best_test_error,se_best_test_error\n")
-        for qv in sorted(grid):
-            g = by_q.get(qv)
-            if g is None:
-                fh.write(f"{qv},0,,\n")
-            else:
-                fh.write(f"{qv},{g['n_runs']},{repr(g['mean_best_test_error'])},"
-                         f"{repr(g['se_best_test_error'])}\n")
+    lines = ["q,n_runs,mean_best_test_error,se_best_test_error\n"]
+    for qv in sorted(grid):
+        g = by_q.get(qv)
+        lines.append(f"{qv},0,,\n" if g is None else
+                     f"{qv},{g['n_runs']},{repr(g['mean_best_test_error'])},"
+                     f"{repr(g['se_best_test_error'])}\n")
+    metrics.write_atomic(out / "grid_q.csv", lambda fh: fh.writelines(lines))
     if all_summaries:
         aggregate = metrics.summarize(all_summaries)
         aggregate["failures"] = all_failures
@@ -550,7 +549,10 @@ def cmd_summarize(root: Path) -> int:
             summary = metrics.read_summary_json(path)
             if not isinstance(summary, dict):
                 raise ValueError(f"expected a JSON object, got {type(summary).__name__}")
-            runs += [metrics.RunSummary.from_dict(d) for d in summary.get("runs", [])]
+            entries = summary.get("runs", [])
+            if not isinstance(entries, list):
+                raise ValueError(f"runs must be a JSON list, got {type(entries).__name__}")
+            runs += [metrics.RunSummary.from_dict(d) for d in entries]
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 1

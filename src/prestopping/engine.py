@@ -107,11 +107,6 @@ def _make_batches(n: int, batch_size: int, shuffle_rng: np.random.Generator):
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _snapshot_params(state):
-    return ([w.copy() for w in state.weights], [b.copy() for b in state.biases],
-            [v.copy() for v in state.vel_w], [v.copy() for v in state.vel_b])
-
-
 def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
                 labels=None, member=None, step_hook: Optional[StepHook] = None) -> bool:
     """One epoch of mini-batch SGD, recording every sample's forward prediction.
@@ -139,21 +134,22 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
         hi = lo + len(idx)
         mask = None if member is None else member[lo:hi]
         n_used = hi - lo if mask is None else int(np.count_nonzero(mask))
-        before = _snapshot_params(state) if step_hook is not None else None
+        before = state.copy() if step_hook is not None else None
         if n_used > 0:
-            _, grads, _, probs = nn.loss_grad_probs(features[lo:hi], labels[lo:hi], state,
-                                                    sample_mask=mask, denom=n_used)
+            _, grad, _, probs = nn.loss_grad_probs(features[lo:hi], labels[lo:hi], state,
+                                                   sample_mask=mask, denom=n_used)
         else:
             probs = nn.forward(features[lo:hi], state)
         np.argmax(probs, axis=1, out=preds[lo:hi])
         if n_used > 0:
-            nn.sgd_step(state, grads, config, epoch)
+            nn.sgd_step(state, grad, config, epoch)
             updated = True
         if step_hook is not None:
-            after = _snapshot_params(state)
+            after = state.copy()
             used = np.ones(hi - lo, dtype=bool) if mask is None else mask.copy()
-            step_hook(StepRecord(epoch, idx.copy(), used, n_used,
-                                 config.lr_at(epoch), *before, after[0], after[1]))
+            step_hook(StepRecord(epoch, idx.copy(), used, n_used, config.lr_at(epoch),
+                                 before.weights, before.biases, before.vel_w, before.vel_b,
+                                 after.weights, after.biases))
         lo = hi
     histories.record_batch(order, preds)
     state.epoch = epoch
@@ -201,7 +197,7 @@ def phase1_train(view: DataView, heuristic: StopHeuristic, net_spec: nn.NetworkS
     soon as it is taken: each new best under the validation heuristic (the
     last call's is returned), the trigger checkpoint under noise_rate.
     """
-    state = nn.init_state(net_spec, rng.stream(seed, "init"), rng_seed=seed)
+    state = nn.init_state(net_spec, rng.stream(seed, "init"))
     histories = PredictionHistory(view.n, q, view.n_classes)
     by_validation = heuristic.kind == "validation"
     best: Optional[Checkpoint] = None
@@ -227,7 +223,7 @@ def phase1_train(view: DataView, heuristic: StopHeuristic, net_spec: nn.NetworkS
 def run_default(view: DataView, net_spec: nn.NetworkSpec, config: nn.OptimizerConfig,
                 q: int, seed: int, observer: Optional[Observer] = None):
     """Plain training for all epochs; bitwise identical to Phase I's trajectory."""
-    state = nn.init_state(net_spec, rng.stream(seed, "init"), rng_seed=seed)
+    state = nn.init_state(net_spec, rng.stream(seed, "init"))
     histories = PredictionHistory(view.n, q, view.n_classes)
     for _ in run_epochs("phase1", view, state, histories, config, seed, 1, None, observer):
         pass

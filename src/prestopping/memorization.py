@@ -14,6 +14,7 @@ import numpy as np
 
 HISTORY_MAGIC = b"PSTH1"
 MAX_Q = 255  # history entries and lengths are stored as single bytes
+MAX_CLASSES = 256  # so are the predicted labels
 
 
 class PredictionHistory:
@@ -22,8 +23,8 @@ class PredictionHistory:
     def __init__(self, n_samples: int, q: int, n_classes: int):
         if n_samples < 1 or q < 1:
             raise ValueError(f"need n_samples >= 1 and q >= 1, got {n_samples}, {q}")
-        if not 2 <= n_classes <= 256:
-            raise ValueError(f"n_classes must be in [2, 256], got {n_classes}")
+        if not 2 <= n_classes <= MAX_CLASSES:
+            raise ValueError(f"n_classes must be in [2, {MAX_CLASSES}], got {n_classes}")
         if q > MAX_Q:
             raise ValueError(f"q must be at most {MAX_Q}, got {q}")
         self.n_samples = int(n_samples)

@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -196,7 +196,12 @@ class RunSummary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunSummary":
-        return cls(**{k: d.get(k) for k in cls.__dataclass_fields__})
+        if not isinstance(d, dict):
+            raise ValueError(f"run entry must be a JSON object, got {type(d).__name__}")
+        missing = [k for k in cls.__dataclass_fields__ if k not in d]
+        if missing:
+            raise ValueError(f"run entry lacks {', '.join(missing)}")
+        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
 def summarize(runs: list[RunSummary]) -> dict:
@@ -223,17 +228,24 @@ def summarize(runs: list[RunSummary]) -> dict:
     return {"runs": [r.to_dict() for r in runs], "groups": grouped}
 
 
-def write_summary_json(summary: dict, path) -> None:
-    """Atomic: a temp file in the same directory, renamed over path once complete."""
+def write_atomic(path, write: Callable) -> None:
+    """Replace path whole or not at all: write(fh) fills a temp file beside it,
+    which one rename then moves over path."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write(fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_summary_json(summary: dict, path) -> None:
+    def write(fh):
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    write_atomic(path, write)
 
 
 def read_summary_json(path) -> dict:

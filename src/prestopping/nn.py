@@ -112,69 +112,50 @@ def _layer_views(spec: NetworkSpec, flat: np.ndarray):
     return weights, biases
 
 
-def _layer_list(attr: str):
-    """List of per-layer views; assigning a list copies its arrays into them."""
-    def get(self):
-        return getattr(self, attr)
-
-    def set_(self, arrays):
-        views = getattr(self, attr)
-        if len(arrays) != len(views):
-            raise ValueError(f"expected {len(views)} layers, got {len(arrays)}")
-        for layer, (view, arr) in enumerate(zip(views, arrays)):
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != view.shape:
-                raise ValueError(f"layer {layer} shape {arr.shape} != {view.shape}")
-            view[...] = arr
-    return property(get, set_)
-
-
 class NetworkState:
     """Parameters plus momentum buffers; exclusively owned by one training run.
 
     params and velocity are flat float64 vectors in the checkpoint body order
     W0, b0, W1, b1, ...; weights, biases, vel_w and vel_b are per-layer views
-    into them, so they always agree with the vectors.
+    into them, so they always agree with the vectors. The state takes the two
+    vectors it is built from as its own; it does not copy them.
     """
-    weights = _layer_list("_weights")  # per layer (fan_in, fan_out)
-    biases = _layer_list("_biases")    # per layer (fan_out,)
-    vel_w = _layer_list("_vel_w")      # momentum buffers, same shapes
-    vel_b = _layer_list("_vel_b")
 
-    def __init__(self, spec: NetworkSpec, weights, biases, vel_w, vel_b,
-                 epoch: int = 0, rng_seed: int = 0):
+    def __init__(self, spec: NetworkSpec, params, velocity, epoch: int = 0):
+        count = _n_params(spec)
+        for name, vec in (("params", params), ("velocity", velocity)):
+            if np.shape(vec) != (count,):
+                raise ValueError(f"{name} must have shape ({count},) for {spec.layer_sizes}, "
+                                 f"got {np.shape(vec)}")
         self.spec = spec
         self.epoch = epoch
-        self.rng_seed = rng_seed
-        self.params = np.empty(_n_params(spec))
-        self.velocity = np.empty(_n_params(spec))
-        self._weights, self._biases = _layer_views(spec, self.params)
-        self._vel_w, self._vel_b = _layer_views(spec, self.velocity)
-        self.weights, self.biases, self.vel_w, self.vel_b = weights, biases, vel_w, vel_b
+        self.params = np.asarray(params, dtype=np.float64)
+        self.velocity = np.asarray(velocity, dtype=np.float64)
+        # per layer (fan_in, fan_out) and (fan_out,); the momentum views match
+        self.weights, self.biases = _layer_views(spec, self.params)
+        self.vel_w, self.vel_b = _layer_views(spec, self.velocity)
 
     def copy(self) -> "NetworkState":
         return NetworkState(*self.__reduce__()[1])
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the views; pickled views would be loose copies
-        return NetworkState, (self.spec, self.weights, self.biases, self.vel_w, self.vel_b,
-                              self.epoch, self.rng_seed)
+        return NetworkState, (self.spec, self.params.copy(), self.velocity.copy(), self.epoch)
 
     @property
     def n_layers(self) -> int:
-        return len(self._weights)
+        return len(self.weights)
 
 
-def init_state(spec: NetworkSpec, rng: np.random.Generator, rng_seed: int = 0) -> NetworkState:
+def init_state(spec: NetworkSpec, rng: np.random.Generator) -> NetworkState:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases and momentum."""
-    weights, biases, vel_w, vel_b = [], [], [], []
-    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
+    count = _n_params(spec)
+    state = NetworkState(spec, np.zeros(count), np.zeros(count))
+    for w in state.weights:  # one draw per layer, in layer order: the bytes depend on it
+        fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-        vel_w.append(np.zeros((fan_in, fan_out)))
-        vel_b.append(np.zeros(fan_out))
-    return NetworkState(spec, weights, biases, vel_w, vel_b, epoch=0, rng_seed=rng_seed)
+        w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return state
 
 
 # ----- forward / loss / gradient -----
@@ -254,19 +235,23 @@ def _check_labels(labels, k: int):
     return labels
 
 
-def _backprop(acts, delta, state: NetworkState):
-    """Gradients from the output-layer delta (delta already carries loss scaling)."""
-    n_layers = state.n_layers
-    grad_w = [None] * n_layers
-    grad_b = [None] * n_layers
-    for layer in reversed(range(n_layers)):
-        grad_w[layer] = acts[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+def _backprop(acts, delta, state: NetworkState) -> np.ndarray:
+    """Gradient from the output-layer delta (delta already carries loss scaling).
+
+    Each layer's gradient is written into its views of one fresh flat vector
+    laid out like state.params; the products keep the operands and shapes of
+    a plain acts.T @ delta, so the values are bitwise those.
+    """
+    grad = np.empty_like(state.params)
+    grad_w, grad_b = _layer_views(state.spec, grad)
+    for layer in reversed(range(state.n_layers)):
+        np.matmul(acts[layer].T, delta, out=grad_w[layer])
+        delta.sum(axis=0, out=grad_b[layer])
         if layer > 0:
             # acts[layer] > 0 is the ReLU mask of this layer's preactivation
             delta = delta @ state.weights[layer].T
             delta *= acts[layer] > 0.0
-    return grad_w, grad_b
+    return grad
 
 
 def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, denom=None):
@@ -276,7 +261,8 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
     sample when no mask is given) and divided by denom, which defaults to the
     batch size and must be given with a mask. Excluded samples contribute
     exactly zero, which realizes training restricted to a sample subset.
-    Returns (loss, (grad_w, grad_b), per_sample_losses, probs).
+    Returns (loss, grad, per_sample_losses, probs); grad is a fresh flat
+    vector laid out like state.params.
     """
     labels = _check_labels(labels, state.spec.n_classes)
     n = len(labels)
@@ -300,27 +286,20 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
         used = per_sample[sample_mask.astype(bool, copy=False)]
     delta /= float(denom)
     loss = float(used.sum()) / float(denom)
-    grad_w, grad_b = _backprop(acts, delta, state)
-    return loss, (grad_w, grad_b), per_sample, probs
+    return loss, _backprop(acts, delta, state), per_sample, probs
 
 
-def sgd_step(state: NetworkState, grads, config: OptimizerConfig, epoch: int) -> NetworkState:
+def sgd_step(state: NetworkState, grad, config: OptimizerConfig, epoch: int) -> NetworkState:
     """v <- momentum*v + grad; params <- params - lr(epoch)*v. Mutates state.
 
-    One update over the flat vectors: the per-layer gradients are laid out in
-    the same W0, b0, W1, b1, ... order first.
+    grad is a flat vector laid out like state.params, as loss_grad_probs returns it.
     """
-    grad_w, grad_b = grads
-    flat = []
-    for layer, (w, b) in enumerate(zip(state.weights, state.biases)):
-        for grad, param in ((grad_w[layer], w), (grad_b[layer], b)):
-            if grad.shape != param.shape:
-                raise ValueError(f"layer {layer} gradient shape {grad.shape} "
-                                 f"!= parameter shape {param.shape}")
-            flat.append(grad.ravel())
+    if np.shape(grad) != state.params.shape:
+        raise ValueError(f"gradient shape {np.shape(grad)} != parameter shape "
+                         f"{state.params.shape}")
     v = state.velocity
     v *= config.momentum
-    v += np.concatenate(flat)
+    v += grad
     state.params -= config.lr_at(epoch) * v
     return state
 
@@ -360,7 +339,7 @@ def save_network(state: NetworkState, path) -> None:
         fh.write(np.asarray(state.velocity, dtype="<f8").tobytes())
 
 
-def load_network(path, epoch: int = 0, rng_seed: int = 0) -> NetworkState:
+def load_network(path, epoch: int = 0) -> NetworkState:
     """Read a checkpoint written by save_network."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -381,5 +360,4 @@ def load_network(path, epoch: int = 0, rng_seed: int = 0) -> NetworkState:
         raise ValueError(f"{path}: expected {16 * count} bytes of parameters and momentum "
                          f"after the header, got {len(raw) - off}")
     body = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=off)
-    return NetworkState(spec, *_layer_views(spec, body[:count]),
-                        *_layer_views(spec, body[count:]), epoch=epoch, rng_seed=rng_seed)
+    return NetworkState(spec, body[:count].copy(), body[count:].copy(), epoch=epoch)

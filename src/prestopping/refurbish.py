@@ -108,7 +108,7 @@ def run_prestopping_plus(view: DataView, trusted_mask, net_spec: nn.NetworkSpec,
     refurbished set is recomputed at each epoch start from current histories.
     """
     rcfg = RefurbishConfig(epsilon, trusted_mask)
-    state = nn.init_state(net_spec, rng.stream(seed, "plus_init"), rng_seed=seed)
+    state = nn.init_state(net_spec, rng.stream(seed, "plus_init"))
     histories = PredictionHistory(view.n, q, view.n_classes)
 
     def targets(histories, previous):

@@ -22,6 +22,11 @@ def straight_line_forward(weights, biases, x):
     return e / e.sum(axis=1, keepdims=True), acts
 
 
+def flat_vector(weights, biases):
+    """Per-layer arrays laid out W0 row-major, b0, W1, b1, ... in one vector."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
 def straight_line_step(weights, biases, vel_w, vel_b, x, labels, mask, n_used,
                        lr, momentum):
     """Recompute one masked momentum-SGD update with explicit numpy.

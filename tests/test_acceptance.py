@@ -56,7 +56,8 @@ def test_c01_gradients_match_finite_differences():
         while _kink_margin(state, x) < 1e-3:
             x = g.normal(size=(n, sizes[0])) * 2.0
         y = g.integers(0, sizes[-1], size=n)
-        _, (gw, gb), _, _ = nn.loss_grad_probs(x, y, state)
+        _, grad, _, _ = nn.loss_grad_probs(x, y, state)
+        gw, gb = nn._layer_views(state.spec, grad)
         for kind, arrs, grads in (("w", state.weights, gw), ("b", state.biases, gb)):
             for arr, grad in zip(arrs, grads):
                 flat, gflat = arr.ravel(), grad.ravel()
@@ -271,10 +272,8 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
     one = nn.OptimizerConfig(base_lr=0.1, batch_size=64, total_epochs=1)
     plus = refurbish.run_prestopping_plus(view, trusted, net, one, q=4,
                                           epsilon=0.0, seed=8)
-    w = [a.copy() for a in nn.init_state(net, rng.stream(8, "plus_init"),
-                                         rng_seed=8).weights]
-    b_ = [a.copy() for a in nn.init_state(net, rng.stream(8, "plus_init"),
-                                          rng_seed=8).biases]
+    w = [a.copy() for a in nn.init_state(net, rng.stream(8, "plus_init")).weights]
+    b_ = [a.copy() for a in nn.init_state(net, rng.stream(8, "plus_init")).biases]
     vw = [np.zeros_like(a) for a in w]
     vb = [np.zeros_like(a) for a in b_]
     shuffle = rng.stream(8, "shuffle", 1)
@@ -292,7 +291,7 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
     # stepwise
     empty = refurbish.RefurbishedSet.empty(view.n)
     labels, member = refurbish.epoch_targets(empty, trusted, view.labels)
-    state_a = nn.init_state(net, rng.stream(8, "plus_init"), rng_seed=8)
+    state_a = nn.init_state(net, rng.stream(8, "plus_init"))
     state_b = state_a.copy()
     hist_a = mem.PredictionHistory(view.n, 4, 3)
     w, b_ = [a.copy() for a in state_a.weights], [a.copy() for a in state_a.biases]
@@ -351,7 +350,7 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
                           np.nonzero(~cand.mask & ~trusted)[0][:3]])
     labels, member = refurbish.epoch_targets(cand, trusted, view.labels)
     sub = data.DataView(view.features[idx], view.labels[idx], view.n_classes)
-    state = nn.init_state(net, rng.stream(9, "init"), rng_seed=9)
+    state = nn.init_state(net, rng.stream(9, "init"))
     records = []
     engine.train_epoch(sub, state.copy(), mem.PredictionHistory(len(idx), 4, 3), cfg,
                        1, 9, labels[idx], member[idx], step_hook=records.append)

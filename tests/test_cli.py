@@ -74,6 +74,9 @@ def test_config_error_exit_code(tmp_path, capsys):
         (["--decay_points", "0.75,0.5"], "decay_points"),
         (["--decay_factor", "0.5"], "decay_factor"),
         (["--hidden", "8,0"], "hidden"),
+        # predicted labels are stored as single bytes: 256 classes at most
+        (["--method", "default", "--n_classes", "300", "--per_class", "3",
+          "--validation_size", "10", "--test_size", "10"], "n_classes"),
     ]:
         rc = cli.main(["run"] + flags + ["--out", str(tmp_path)])
         assert rc == 2, flags
@@ -272,7 +275,9 @@ def test_summarize_names_unreadable_summary(tmp_path, capsys):
     broken = tmp_path / "default" / "other" / "seed1" / "summary.json"
     broken.parent.mkdir(parents=True)
     # a run killed mid-write, before atomic writes; then valid JSON that is no object
-    for text in ('{"runs": [', "[]"):
+    # then a runs value that is no list, and run entries that are no object or lack fields
+    for text in ('{"runs": [', "[]", '{"runs": 5}', '{"runs": [1]}',
+                 '{"runs": [{"method": "default"}]}'):
         broken.write_text(text)
         capsys.readouterr()
         rc = cli.main(["summarize", "--dir", str(tmp_path)])

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import straight_line_step, window_memorized
+from helpers import flat_vector, straight_line_step, window_memorized
 from prestopping import data, engine, memorization as mem, metrics, nn, refurbish, rng
 
 
@@ -73,8 +73,9 @@ def test_train_epoch_records_each_sample_once_with_its_pre_update_prediction():
         assert np.array_equal(np.sort(seen), np.arange(view.n))
         assert all(hist.history_length(i) == epoch for i in range(view.n))
         for rec in records:
-            before = nn.NetworkState(SMALL_SPEC, rec.weights_before, rec.biases_before,
-                                     rec.vel_w_before, rec.vel_b_before)
+            before = nn.NetworkState(SMALL_SPEC,
+                                     flat_vector(rec.weights_before, rec.biases_before),
+                                     flat_vector(rec.vel_w_before, rec.vel_b_before))
             want = np.argmax(nn.forward(view.features[rec.indices], before), axis=1)
             got = [hist.history_of(i)[-1] for i in rec.indices]
             assert np.array_equal(got, want), (epoch, rec.indices)

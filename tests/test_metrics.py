@@ -200,6 +200,18 @@ def test_summary_json_write_is_atomic(tmp_path, monkeypatch):
     metrics.write_summary_json({"runs": [1]}, path)
     assert metrics.read_summary_json(path) == {"runs": [1]}
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+    # the same writer puts grid_q.csv down whole
+    csv_path = tmp_path / "grid_q.csv"
+    metrics.write_atomic(csv_path, lambda fh: fh.write("q,n_runs\n3,2\n"))
+
+    def dies_mid_row(fh):
+        fh.write("q,n_runs\n1")
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        metrics.write_atomic(csv_path, dies_mid_row)
+    assert csv_path.read_text() == "q,n_runs\n3,2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid_q.csv", "summary.json"]
 
 
 def test_plots_script_mentions_metrics(tmp_path):

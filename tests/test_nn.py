@@ -7,13 +7,13 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import straight_line_forward
+from helpers import flat_vector, straight_line_forward
 from prestopping import nn, rng
 
 # ----- fixtures / helpers -----
 
 def small_state(seed=123, sizes=(3, 5, 4)):
-    return nn.init_state(nn.NetworkSpec(sizes), rng.stream(seed, "init"), rng_seed=seed)
+    return nn.init_state(nn.NetworkSpec(sizes), rng.stream(seed, "init"))
 
 
 def rel_err(a, b):
@@ -199,7 +199,8 @@ def test_gradient_matches_central_differences():
         while not away_from_kinks(x, state):
             x = meta.normal(size=(b, sizes[0])) * 2.0
         y = meta.integers(0, sizes[-1], size=b)
-        _, (gw, gb), _, _ = nn.loss_grad_probs(x, y, state)
+        _, grad, _, _ = nn.loss_grad_probs(x, y, state)
+        gw, gb = nn._layer_views(state.spec, grad)
         for _ in range(20):
             layer = int(meta.integers(0, len(state.weights)))
             if meta.random() < 0.8:
@@ -220,23 +221,35 @@ def test_masked_gradient_zero_mask_rows_do_not_leak():
     x = rng.stream(3, "x").normal(size=(6, 3))
     y = np.array([0, 1, 2, 3, 0, 1])
     mask = np.array([True, False, True, False, True, False])
-    _, (gw, gb), _, _ = nn.loss_grad_probs(x, y, state, sample_mask=mask, denom=3)
-    _, (gw2, gb2), _, _ = nn.loss_grad_probs(x[mask], y[mask], state)
-    for a, b in zip(gw + gb, gw2 + gb2):
-        assert np.allclose(a, b, atol=1e-14)
+    _, grad, _, _ = nn.loss_grad_probs(x, y, state, sample_mask=mask, denom=3)
+    _, grad2, _, _ = nn.loss_grad_probs(x[mask], y[mask], state)
+    assert np.allclose(grad, grad2, atol=1e-14)
 
 
 def test_masked_gradient_full_mask_is_bitwise_plain():
     state = small_state(13)
     x = rng.stream(4, "x").normal(size=(5, 3))
     y = np.array([0, 1, 2, 3, 1])
-    l1, (gw1, gb1), ps1, _ = nn.loss_grad_probs(x, y, state)
-    l2, (gw2, gb2), ps2, _ = nn.loss_grad_probs(x, y, state,
-                                                sample_mask=np.ones(5, dtype=bool), denom=5)
+    l1, grad1, ps1, _ = nn.loss_grad_probs(x, y, state)
+    l2, grad2, ps2, _ = nn.loss_grad_probs(x, y, state,
+                                           sample_mask=np.ones(5, dtype=bool), denom=5)
     assert l1 == l2
     assert np.array_equal(ps1, ps2)
-    for a, b in zip(gw1 + gb1, gw2 + gb2):
-        assert np.array_equal(a, b)
+    assert np.array_equal(grad1, grad2)
+
+
+def test_gradient_vectors_do_not_share_memory():
+    # each call returns a fresh vector: a reused buffer would overwrite the
+    # gradient a caller still holds
+    state = small_state(13)
+    x = rng.stream(4, "x").normal(size=(5, 3))
+    grad1 = nn.loss_grad_probs(x, [0, 1, 2, 3, 1], state)[1]
+    kept = grad1.copy()
+    grad2 = nn.loss_grad_probs(x, [3, 2, 1, 0, 0], state)[1]
+    assert grad1.shape == grad2.shape == state.params.shape
+    assert not np.shares_memory(grad1, grad2)
+    assert not np.shares_memory(grad1, state.params)
+    assert np.array_equal(grad1, kept) and not np.array_equal(grad1, grad2)
 
 
 def test_masked_gradient_requires_positive_denom():
@@ -251,13 +264,12 @@ def test_masked_gradient_requires_positive_denom():
 def test_momentum_two_steps_hand_computed():
     # lr 0.1 momentum 0.9, scalar layer: g1=2.0 -> v=2.0, w=0.8; g2=1.0 -> v=2.8, w=0.52
     spec = nn.NetworkSpec((1, 1))
-    state = nn.NetworkState(spec, [np.array([[1.0]])], [np.array([0.0])],
-                            [np.zeros((1, 1))], [np.zeros(1)])
+    state = nn.NetworkState(spec, np.array([1.0, 0.0]), np.zeros(2))  # W0 = [[1]], b0 = [0]
     cfg = nn.OptimizerConfig(base_lr=0.1, momentum=0.9, total_epochs=100)
-    nn.sgd_step(state, ([np.array([[2.0]])], [np.array([0.5])]), cfg, epoch=1)
+    nn.sgd_step(state, np.array([2.0, 0.5]), cfg, epoch=1)
     assert state.weights[0][0, 0] == pytest.approx(0.8, abs=1e-15)
     assert state.vel_w[0][0, 0] == 2.0
-    nn.sgd_step(state, ([np.array([[1.0]])], [np.array([0.25])]), cfg, epoch=1)
+    nn.sgd_step(state, np.array([1.0, 0.25]), cfg, epoch=1)
     assert state.vel_w[0][0, 0] == pytest.approx(2.8, abs=1e-15)
     assert state.weights[0][0, 0] == pytest.approx(0.52, abs=1e-15)
     assert state.biases[0][0] == pytest.approx(-0.12, abs=1e-15)
@@ -266,9 +278,12 @@ def test_momentum_two_steps_hand_computed():
 def test_sgd_step_rejects_mismatched_shapes():
     state = small_state()
     cfg = nn.OptimizerConfig()
-    with pytest.raises(ValueError):
-        nn.sgd_step(state, ([np.zeros((2, 2)), np.zeros((5, 4))],
-                            [np.zeros(5), np.zeros(4)]), cfg, 1)
+    before = state.params.copy()
+    for grad in (np.zeros(state.params.size - 1), np.zeros(state.params.size + 4),
+                 np.zeros((1, state.params.size))):
+        with pytest.raises(ValueError, match="gradient shape"):
+            nn.sgd_step(state, grad, cfg, 1)
+    assert np.array_equal(state.params, before) and not state.velocity.any()
 
 
 def test_full_batch_loss_non_increasing_on_separable_toy():
@@ -306,7 +321,8 @@ def test_evaluation_with_reused_scratch_matches_numpy_oracle():
     g = rng.stream(4, "x")
     states = [small_state(1, sizes=(16, 64, 64, 4)), small_state(2, sizes=(16, 128, 64, 4))]
     for state in states:
-        state.biases = [g.normal(size=b.shape) for b in state.biases]
+        for b in state.biases:
+            b[...] = g.normal(size=b.shape)
     kept = []
     for n in (1, 32, 500, 4000, 5500, 7):
         for state in states:
@@ -343,7 +359,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         nn.sgd_step(state, grads, cfg, epoch=1)
     path = tmp_path / "net.pstp"
     nn.save_network(state, path)
-    back = nn.load_network(path, epoch=state.epoch, rng_seed=state.rng_seed)
+    back = nn.load_network(path, epoch=state.epoch)
     assert back.spec == state.spec
     for a, b in zip(state.weights + state.biases + state.vel_w + state.vel_b,
                     back.weights + back.biases + back.vel_w + back.vel_b):
@@ -411,14 +427,23 @@ def test_state_lists_are_views_of_the_flat_vectors():
     assert np.array_equal(state.params, np.concatenate([a.ravel() for a in layers]))
     assert all(np.shares_memory(a, state.params) for a in layers)
     assert all(np.shares_memory(v, state.velocity) for v in state.vel_w + state.vel_b)
-    # assigning a list writes into the vector, so sgd_step still moves what forward reads
-    state.biases = [np.full(b.shape, 0.5) for b in state.biases]
-    assert all(np.shares_memory(b, state.params) and np.all(b == 0.5) for b in state.biases)
-    with pytest.raises(ValueError):
-        state.biases = [np.zeros(6), np.zeros(5), np.zeros(3)]
     for dup in (state.copy(), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
         assert np.array_equal(dup.params, state.params) and dup.epoch == state.epoch
         dup.params += 1.0
         dup.velocity += 1.0
         assert np.array_equal(dup.weights[0], state.weights[0] + 1.0)
         assert np.all(dup.vel_b[-1] == 1.0) and not state.vel_b[-1].any()
+
+
+def test_state_rejects_vectors_of_the_wrong_length():
+    spec = nn.NetworkSpec((3, 5, 4))  # 3*5 + 5 + 5*4 + 4 = 44 parameters
+    good = np.zeros(44)
+    state = nn.NetworkState(spec, flat_vector([np.ones((3, 5)), np.ones((5, 4))],
+                                              [np.zeros(5), np.zeros(4)]), good)
+    assert [w.shape for w in state.weights] == [(3, 5), (5, 4)]
+    assert all(np.all(w == 1.0) for w in state.weights) and not any(b.any() for b in state.biases)
+    for params, velocity, name in ((np.zeros(43), good, "params"),
+                                   (good, np.zeros(45), "velocity"),
+                                   (good.reshape(4, 11), good, "params")):
+        with pytest.raises(ValueError, match=f"^{name} must have shape \\(44,\\)"):
+            nn.NetworkState(spec, params, velocity)
