@@ -3,8 +3,9 @@
 Each seed is an isolated job: the data, noise, init and shuffle streams are all
 derived from that seed, so reruns reproduce bit-identical metrics files and
 seeds can execute in parallel. A Prestopping seed also runs its Phase II in a
-forked child process beside Phase I (run_prestopping_overlapped). Layout per
-run, written whole:
+forked child process beside Phase I (run_prestopping_overlapped), and a
+Prestopping+ seed scores its retrain's epochs in another
+(run_prestopping_plus_scored). Layout per run, written whole:
 
     <out>/<method>/<noise>_<tau>/seed<k>/
         metrics.csv        one row per epoch (all phases)
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import fcntl
 import multiprocessing
 import os
 import pickle
@@ -252,11 +254,12 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run the block with NumPy's OpenBLAS on one thread (a no-op for other BLAS builds).
 
-    The two processes of an overlapped run already occupy two cores; further
-    BLAS threads only contend with them for the cores. OpenBLAS splits a GEMM
-    over output blocks, not over its sums, so no output byte depends on the
-    thread count; the overlap tests compare against serial runs at the
-    default count.
+    The desk-scale GEMMs are too small to gain from more threads: a serial
+    run gets slower with them, and the two processes of an overlapped phase
+    already occupy two cores. Forked children inherit the setting. OpenBLAS
+    splits a GEMM over output blocks, not over its sums, so no output byte
+    depends on the thread count; the overlap tests compare against serial
+    runs at the default count.
     """
     threads = _openblas_threads()
     if threads is None:
@@ -271,64 +274,94 @@ def _one_blas_thread():
         put(before)
 
 
-def _phase2_child(conn, ckpt, view, opt, seed, collector) -> None:
-    """Forked child body: Phase II from ckpt, sent back once over conn.
+# pipe capacity of a child's inbox (Linux's default ceiling for an unprivileged
+# process): the parent sends without waiting for a child still busy with an
+# earlier message, so a scorer that falls behind does not hold up training
+INBOX_BYTES = 1 << 20
 
-    Sends (outcome, warnings): outcome is (state, safe mask, histories, rows,
-    histogram) or the exception Phase II raised; the warnings it issued are
-    re-issued by the parent.
+
+def _child_main(result_end, inbox, body, args) -> None:
+    """Forked child: runs body(*args) and sends (outcome, warnings) once over result_end.
+
+    outcome is body's return value or the exception it raised; the warnings
+    it issued are re-issued by the parent. inbox is the parent's write end of
+    the child's inbox, or None: the child closes its copy, so the parent
+    closing its own reads as EOF in the child.
     """
+    if inbox is not None:
+        inbox.close()
     with warnings.catch_warnings(record=True) as caught:
         try:
-            state, safe, histories = engine.phase2_train(ckpt, view, opt, seed,
-                                                         observer=collector)
-            outcome = (state, safe, histories, collector.rows, collector.histogram)
+            outcome = body(*args)
         except Exception as exc:
             outcome = exc
             try:
                 pickle.loads(pickle.dumps(exc))
             except Exception:  # an exception that cannot cross travels as its text
                 outcome = RuntimeError(f"{type(exc).__name__}: {exc}")
-    conn.send((outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+    result_end.send((outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
 
 
-class _Phase2Process:
-    """Phase II of one seed in a forked child, restarted from each new checkpoint.
+class _ForkedChild:
+    """At most one forked child process of one seed, whose one result comes back over a pipe.
 
-    At most one child is alive: restart kills and reaps the running one first.
-    The child starts from a copy-on-write image of this process, so nothing is
-    pickled on the way in; its result comes back over a one-way pipe.
+    The child starts from a copy-on-write image of this process, so nothing
+    is pickled on the way in. The caller must run no other threads (the CLI
+    process and its pool workers run none).
     """
 
-    def __init__(self, view, opt, seed: int, collector: metrics.MetricsCollector):
-        self.view, self.opt, self.seed, self.collector = view, opt, seed, collector
-        self._proc = self._conn = None
+    def __init__(self, seed: int, what: str):
+        self.seed, self.what = seed, what
+        self._proc = self._conn = self._inbox = None
 
-    def restart(self, ckpt: engine.Checkpoint) -> None:
+    def start(self, body, *args, inbox: bool = False) -> None:
+        """Kill and reap the running child, if any, then fork one running body(*args).
+
+        With inbox, body's first argument is the read end of a pipe that
+        send() feeds; it reads EOF once result() is called.
+        """
         self.stop()
         fork = multiprocessing.get_context("fork")
-        self._conn, send = fork.Pipe(duplex=False)
-        fresh = metrics.MetricsCollector(self.collector.train_ds, self.collector.test_view)
-        self._proc = fork.Process(target=_phase2_child,
-                                  args=(send, ckpt, self.view, self.opt, self.seed, fresh))
+        self._conn, result_end = fork.Pipe(duplex=False)
+        reader, self._inbox = fork.Pipe(duplex=False) if inbox else (None, None)
+        self._proc = fork.Process(target=_child_main,
+                                  args=(result_end, self._inbox, body,
+                                        args if reader is None else (reader, *args)))
         self._proc.start()
-        send.close()  # the child holds the only write end: its death reads as EOF
+        result_end.close()  # the child holds the only write end: its death reads as EOF
+        if reader is not None:
+            reader.close()  # likewise, sending to a dead child raises BrokenPipeError
+            with contextlib.suppress(AttributeError, OSError):  # Linux only, best effort
+                fcntl.fcntl(self._inbox.fileno(), fcntl.F_SETPIPE_SZ, INBOX_BYTES)
+
+    def send(self, message) -> None:
+        """Send message to the child's inbox; a child that stopped reading fails as in result()."""
+        try:
+            self._inbox.send(message)
+        except BrokenPipeError:
+            self.result()
+            raise
 
     def stop(self) -> None:
         """Kill and reap the running child, if any."""
         if self._proc is not None:
             self._proc.kill()
             self._proc.join()
-            self._conn.close()
-            self._proc = self._conn = None
+            for end in (self._conn, self._inbox):
+                if end is not None:
+                    end.close()
+            self._proc = self._conn = self._inbox = None
 
     def result(self):
-        """Wait for the last started child: (state, safe mask, histories, rows, histogram)."""
+        """Close the inbox, then wait for the child: body's return value, or its exception."""
+        if self._inbox is not None:
+            self._inbox.close()
+            self._inbox = None
         try:
             outcome, caught = self._conn.recv()
         except EOFError:
             self._proc.join()
-            raise RuntimeError(f"seed {self.seed}: Phase II process exited with code "
+            raise RuntimeError(f"seed {self.seed}: {self.what} exited with code "
                                f"{self._proc.exitcode} without a result") from None
         self._proc.join()
         for message, category, filename, lineno in caught:
@@ -338,6 +371,20 @@ class _Phase2Process:
         return outcome
 
 
+def _adopt(collector: metrics.MetricsCollector, rows, histogram) -> None:
+    """Append a child's rows, and take its histogram only if none was captured yet:
+    the serial observer order."""
+    collector.rows += rows
+    if collector.histogram is None:
+        collector.histogram = histogram
+
+
+def _phase2_body(ckpt, view, opt, seed, collector):
+    """Phase II child body: (state, safe mask, histories, rows, histogram)."""
+    state, safe, histories = engine.phase2_train(ckpt, view, opt, seed, observer=collector)
+    return state, safe, histories, collector.rows, collector.histogram
+
+
 def run_prestopping_overlapped(view, heuristic: engine.StopHeuristic, net_spec, opt,
                                q: int, seed: int,
                                collector: metrics.MetricsCollector) -> engine.PrestopResult:
@@ -345,24 +392,68 @@ def run_prestopping_overlapped(view, heuristic: engine.StopHeuristic, net_spec, 
 
     Each checkpoint Phase I takes restarts Phase II from it in a child
     process, so Phase II from the final checkpoint overlaps Phase I's
-    remaining epochs. The child's rows follow Phase I's, and its histogram is
-    adopted only when Phase I captured none: the serial observer order, so
-    every output is byte-identical to the serial run's. The child is forked,
-    so the caller must run no other threads (the CLI process and its pool
-    workers run none).
+    remaining epochs. The child scores its epochs with a fresh collector;
+    its rows and histogram are adopted in the serial observer order, so every
+    output is byte-identical to the serial run's.
     """
-    phase2 = _Phase2Process(view, opt, seed, collector)
-    with _one_blas_thread():  # the child inherits the setting
-        try:
-            ckpt = engine.phase1_train(view, heuristic, net_spec, opt, q, seed, collector,
-                                       on_checkpoint=phase2.restart)
-            state, safe, histories, rows, histogram = phase2.result()
-        finally:
-            phase2.stop()
-    collector.rows += rows
-    if collector.histogram is None:
-        collector.histogram = histogram
+    phase2 = _ForkedChild(seed, "Phase II process")
+
+    def restart(ckpt):
+        fresh = metrics.MetricsCollector(collector.train_ds, collector.test_view)
+        phase2.start(_phase2_body, ckpt, view, opt, seed, fresh)
+
+    try:
+        ckpt = engine.phase1_train(view, heuristic, net_spec, opt, q, seed, collector,
+                                   on_checkpoint=restart)
+        state, safe, histories, rows, histogram = phase2.result()
+    finally:
+        phase2.stop()
+    _adopt(collector, rows, histogram)
     return engine.PrestopResult(ckpt, state, safe, histories)
+
+
+def _score_epochs(inbox, view, net_spec, collector):
+    """Scorer body: feeds collector one epoch per inbox message until EOF.
+
+    Returns the rows it added and its histogram. The state is rebuilt with a
+    zero velocity and the context carries no histories: no score reads either.
+    """
+    first = len(collector.rows)
+    while True:
+        try:
+            phase, epoch, lr, validation_error, params, memorized = inbox.recv()
+        except EOFError:
+            return collector.rows[first:], collector.histogram
+        state = nn.NetworkState(net_spec, params, np.zeros_like(params), epoch)
+        collector(engine.EpochContext(phase, epoch, state, None, memorized, lr, view,
+                                      validation_error))
+
+
+def run_prestopping_plus_scored(view, trusted_mask, net_spec, opt, q: int, epsilon: float,
+                                seed: int, collector: metrics.MetricsCollector):
+    """refurbish.run_prestopping_plus, with collector scoring its epochs in a child process.
+
+    Training never reads the scores, so this process only trains: each epoch
+    it sends the parameters and memorized mask to a forked scorer, which
+    holds a copy of collector and evaluates there. The scorer's rows follow
+    the earlier ones and its histogram is adopted in the serial observer
+    order, so every output is byte-identical to the serial run's.
+    """
+    scorer = _ForkedChild(seed, "scorer process")
+    scorer.start(_score_epochs, view, net_spec, collector, inbox=True)
+
+    def send(ctx):  # pickled as it is sent, so the live parameters need no copy
+        scorer.send((ctx.phase, ctx.epoch, ctx.lr, ctx.validation_error, ctx.state.params,
+                     ctx.memorized))
+
+    try:
+        plus = refurbish.run_prestopping_plus(view, trusted_mask, net_spec, opt, q,
+                                              epsilon, seed, observer=send)
+        rows, histogram = scorer.result()
+    finally:
+        scorer.stop()
+    _adopt(collector, rows, histogram)
+    return plus
 
 
 def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
@@ -370,16 +461,16 @@ def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
     view = train_ds.train_view()
     net = cfg.net_spec(view.features.shape[1], view.n_classes)
     opt = cfg.optimizer()
-    if cfg.method == "default":
-        engine.run_default(view, net, opt, cfg.q, seed, observer=collector)
-        return None, None
-    heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
-    result = run_prestopping_overlapped(view, heur, net, opt, cfg.q, seed, collector)
-    if cfg.method == "prestopping":
-        return result.checkpoint, None
-    plus = refurbish.run_prestopping_plus(view, result.safe_set, net, opt,
-                                          cfg.q, cfg.epsilon, seed,
-                                          observer=collector)
+    with _one_blas_thread():
+        if cfg.method == "default":
+            engine.run_default(view, net, opt, cfg.q, seed, observer=collector)
+            return None, None
+        heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
+        result = run_prestopping_overlapped(view, heur, net, opt, cfg.q, seed, collector)
+        if cfg.method == "prestopping":
+            return result.checkpoint, None
+        plus = run_prestopping_plus_scored(view, result.safe_set, net, opt, cfg.q,
+                                           cfg.epsilon, seed, collector)
     return result.checkpoint, plus
 
 

@@ -14,6 +14,7 @@ instrumentation layer through the observer callback.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -56,15 +57,24 @@ class Checkpoint:
 
 @dataclass
 class EpochContext:
-    """Observer payload at each epoch end; state and histories are live references."""
+    """Observer payload at each epoch end; state and histories are live references.
+
+    train_error is the state's error on view's labels, evaluated on first
+    read and then cached, so an epoch nobody asks it of costs no evaluation;
+    read it before the run trains the next epoch.
+    """
     phase: str
     epoch: int
     state: nn.NetworkState
-    histories: PredictionHistory
+    histories: Optional[PredictionHistory]
     memorized: np.ndarray  # (n,) bool maximal safe set under the epoch-end histories
     lr: float
-    train_error: float
+    view: DataView  # the training view
     validation_error: Optional[float] = None
+
+    @functools.cached_property
+    def train_error(self) -> float:
+        return nn.evaluate_error(self.view.features, self.view.labels, self.state)
 
 
 @dataclass
@@ -175,11 +185,10 @@ def run_epochs(phase: str, view: DataView, state, histories: PredictionHistory, 
                     "plus": "trusted and refurbished sets both empty for every batch"}
             warnings.warn(f"epoch {epoch}: {what[phase]}", RuntimeWarning)
         memorized = histories.memorized_mask(view.labels)
-        train_err = nn.evaluate_error(view.features, view.labels, state)
         val_err = None if validation is None else \
             nn.evaluate_error(validation.features, validation.labels, state)
         ctx = EpochContext(phase, epoch, state, histories, memorized,
-                           config.lr_at(epoch), train_err, val_err)
+                           config.lr_at(epoch), view, val_err)
         if observer is not None:
             observer(ctx)
         yield ctx

@@ -51,8 +51,9 @@ def snapshot_epoch(ctx: EpochContext, train_ds: NoisyDataset,
     false_count = int(np.count_nonzero(mask & ~clean))
     size = int(np.count_nonzero(mask))
     precision = true_count / size if size else 1.0
+    train_error = ctx.train_error  # the larger set first, as the scratch buffers grow to it
     test_error = nn.evaluate_error(test_view.features, test_view.labels, ctx.state)
-    return EpochMetrics(ctx.epoch, ctx.train_error, ctx.validation_error, test_error,
+    return EpochMetrics(ctx.epoch, train_error, ctx.validation_error, test_error,
                         mp, mr, size, true_count, false_count, precision,
                         ctx.lr, ctx.phase)
 
@@ -179,6 +180,13 @@ def write_histogram_csv(hist: LossHistogram, path) -> None:
 
 # ----- run summaries -----
 
+# RunSummary field -> the types its JSON value may have; a bool is never a number
+SUMMARY_TYPES = {"method": (str,), "heuristic": (str, type(None)), "noise": (str,),
+                 "tau": (int, float), "q": (int,), "seed": (int,),
+                 "best_test_error": (int, float), "stop_epoch": (int, type(None)),
+                 "wall_seconds": (int, float)}
+
+
 @dataclass
 class RunSummary:
     method: str
@@ -201,6 +209,10 @@ class RunSummary:
         missing = [k for k in cls.__dataclass_fields__ if k not in d]
         if missing:
             raise ValueError(f"run entry lacks {', '.join(missing)}")
+        for key, types in SUMMARY_TYPES.items():
+            if isinstance(d[key], bool) or not isinstance(d[key], types):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+                raise ValueError(f"{key} must be {names}, got {d[key]!r}")
         return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 

@@ -1,16 +1,25 @@
 """Command-line runner: config handling, exit codes, layout, determinism."""
 
+import fcntl
 import json
 import multiprocessing
 import os
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-from prestopping import cli, data, engine, metrics, nn
+from prestopping import cli, data, engine, metrics, nn, refurbish
 
 ROOT_CFG = "configs/default.cfg"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """No test leaves a Phase II or scorer child behind."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def tiny_flags(out, **kw):
@@ -283,6 +292,15 @@ def test_summarize_names_unreadable_summary(tmp_path, capsys):
         rc = cli.main(["summarize", "--dir", str(tmp_path)])
         assert rc == 1
         assert f"cannot read {broken}" in capsys.readouterr().err
+    # a run entry with every field, one of them of the wrong JSON type
+    good = json.loads((tmp_path / "default" / "pair_0.3" / "seed0" / "summary.json")
+                      .read_text())["runs"][0]
+    for field, value in [("best_test_error", "x"), ("q", "10"), ("seed", True),
+                         ("heuristic", 3), ("stop_epoch", 2.5), ("wall_seconds", None)]:
+        broken.write_text(json.dumps({"runs": [{**good, field: value}]}))
+        capsys.readouterr()
+        assert cli.main(["summarize", "--dir", str(tmp_path)]) == 1
+        assert f"cannot read {broken}: {field} must be" in capsys.readouterr().err
 
 
 def test_summarize_empty_dir_fails(tmp_path, capsys):
@@ -368,13 +386,13 @@ def run_bytes(result, collector, work) -> dict:
 
 @pytest.mark.parametrize("histogram_phase", ["phase1", "phase2"])
 def test_overlapped_run_is_byte_identical_to_serial(tmp_path, monkeypatch, histogram_phase):
-    restarts, restart = [], cli._Phase2Process.restart
+    restarts, start = [], cli._ForkedChild.start
 
-    def counted(self, ckpt):
+    def counted(self, body, ckpt, *args, **kwargs):
         restarts.append(ckpt.epoch)
-        restart(self, ckpt)
+        start(self, body, ckpt, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Phase2Process, "restart", counted)
+    monkeypatch.setattr(cli._ForkedChild, "start", counted)
     if histogram_phase == "phase2":
         observe = metrics.MetricsCollector.__call__
 
@@ -391,16 +409,14 @@ def test_overlapped_run_is_byte_identical_to_serial(tmp_path, monkeypatch, histo
     assert s_col.histogram.epoch == capture.epoch
     assert run_bytes(overlapped, o_col, tmp_path / "o") == \
         run_bytes(serial, s_col, tmp_path / "s")
-    assert multiprocessing.active_children() == []
 
 
-def failed_seed(tmp_path, capsys) -> str:
-    """Run one tiny prestopping seed that must fail; returns its error text."""
-    assert cli.main(["run"] + tiny_flags(tmp_path, seeds="0")) == 1
+def failed_seed(tmp_path, capsys, method="prestopping") -> str:
+    """Run one tiny seed of method that must fail; returns its error text."""
+    assert cli.main(["run"] + tiny_flags(tmp_path, seeds="0", method=method)) == 1
     error = metrics.read_summary_json(tmp_path / "summary.json")["failures"][0]["error"]
     assert f"seed 0 failed: {error}" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
-    assert not (tmp_path / "prestopping" / "pair_0.3" / "seed0").exists()
+    assert not (tmp_path / method / "pair_0.3" / "seed0").exists()
     return error
 
 
@@ -450,3 +466,154 @@ def test_phase2_warnings_reach_the_parent(monkeypatch):
     monkeypatch.setattr(engine, "phase2_train", warning_phase2)
     with pytest.warns(RuntimeWarning, match="from the Phase II process"):
         serial_and_overlapped(tiny_config(), 0)
+
+
+# ----- the Prestopping+ retrain scored in a child process -----
+
+def plus_bytes(plus, collector, work) -> dict:
+    """Every output of one Prestopping+ seed, as bytes or exact values; work is a new directory."""
+    work.mkdir()
+    metrics.write_metrics_csv(collector.rows, work / "metrics.csv")
+    nn.save_network(plus.final_state, work / "final.pstp")
+    plus.histories.save(work / "final.psth")
+    out = {p.name: p.read_bytes() for p in work.iterdir()}
+    hist = collector.histogram
+    out["histogram"] = hist.epoch, hist.edges.tobytes(), hist.clean_counts.tobytes(), \
+        hist.noisy_counts.tobytes()
+    refurb = plus.refurbished
+    out["refurbished"] = refurb.labels.tobytes(), refurb.entropy.tobytes(), \
+        refurb.mask.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("histogram_phase", ["phase1", "plus"])
+def test_scored_retrain_is_byte_identical_to_serial(tmp_path, monkeypatch, histogram_phase):
+    if histogram_phase == "plus":
+        observe = metrics.MetricsCollector.__call__
+
+        def plus_histogram(self, ctx):
+            observe(self, ctx)
+            if ctx.phase != "plus":
+                self.histogram = None  # no capture before the retrain: the scorer's is adopted
+
+        monkeypatch.setattr(metrics.MetricsCollector, "__call__", plus_histogram)
+    cfg = tiny_config(method="prestopping_plus", epochs=8)
+    train_ds, val_view, test_view = cli.build_dataset(cfg, 0)
+    view = train_ds.train_view()
+    net = cfg.net_spec(view.features.shape[1], view.n_classes)
+    heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
+    serial = metrics.MetricsCollector(train_ds, test_view)
+    result = engine.run_prestopping(view, heur, net, cfg.optimizer(), cfg.q, 0, serial)
+    plus = refurbish.run_prestopping_plus(view, result.safe_set, net, cfg.optimizer(), cfg.q,
+                                          cfg.epsilon, 0, observer=serial)
+    scored = metrics.MetricsCollector(train_ds, test_view)
+    ckpt, scored_plus = cli._train_one(cfg, 0, train_ds, val_view, scored)
+    capture = next(r for r in serial.rows if r.phase == histogram_phase and r.train_error < 0.5)
+    assert serial.histogram.epoch == capture.epoch
+    assert [r.phase for r in serial.rows].count("plus") == cfg.epochs
+    assert ckpt.epoch == result.checkpoint.epoch
+    assert plus_bytes(scored_plus, scored, tmp_path / "c") == \
+        plus_bytes(plus, serial, tmp_path / "s")
+
+
+def test_parent_makes_no_evaluation_during_the_retrain(tmp_path, monkeypatch):
+    parent, retraining, calls = os.getpid(), [False], []
+    evaluate, retrain = nn.evaluate_error, refurbish.run_prestopping_plus
+
+    def counted_evaluate(*args, **kwargs):
+        if os.getpid() == parent:
+            calls.append(retraining[0])
+        return evaluate(*args, **kwargs)
+
+    def flagged_retrain(*args, **kwargs):
+        retraining[0] = True
+        try:
+            return retrain(*args, **kwargs)
+        finally:
+            retraining[0] = False
+
+    monkeypatch.setattr(nn, "evaluate_error", counted_evaluate)
+    monkeypatch.setattr(refurbish, "run_prestopping_plus", flagged_retrain)
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="prestopping_plus", seeds="0")) == 0
+    rows = metrics.read_metrics_csv(
+        tmp_path / "prestopping_plus" / "pair_0.3" / "seed0" / "metrics.csv")
+    assert [r.phase for r in rows].count("plus") == 5  # scored, by the child
+    assert calls and not any(calls)
+
+
+def test_scorer_death_names_seed_and_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_score_epochs", lambda *args: os._exit(3))
+    assert failed_seed(tmp_path, capsys, "prestopping_plus") == \
+        "RuntimeError: seed 0: scorer process exited with code 3 without a result"
+
+
+def test_send_to_a_dead_child_names_seed_and_exit_code():
+    child = cli._ForkedChild(0, "scorer process")
+    child.start(lambda inbox: os._exit(3), inbox=True)
+    while multiprocessing.active_children():
+        time.sleep(0.01)
+    with pytest.raises(RuntimeError) as err:
+        child.send(np.zeros(100_000))  # more than a pipe buffer holds
+    assert str(err.value) == "seed 0: scorer process exited with code 3 without a result"
+    child.stop()
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe capacity is fixed here")
+def test_sends_do_not_wait_for_a_busy_child():
+    child = cli._ForkedChild(0, "scorer process")
+    child.start(lambda inbox: time.sleep(60), inbox=True)
+    t0 = time.perf_counter()
+    for _ in range(8):
+        child.send(np.zeros(11_000))  # about one desk-scale parameter vector
+    assert time.perf_counter() - t0 < 10  # buffered, not read: the child never reads
+    child.stop()
+
+
+def test_scorer_error_fails_the_seed_as_in_a_serial_run(tmp_path, monkeypatch, capsys):
+    snapshot = metrics.snapshot_epoch
+
+    def failing_in_the_retrain(ctx, *args):
+        if ctx.phase == "plus":
+            raise ValueError("scoring broke")
+        return snapshot(ctx, *args)
+
+    monkeypatch.setattr(metrics, "snapshot_epoch", failing_in_the_retrain)
+    assert failed_seed(tmp_path, capsys, "prestopping_plus") == "ValueError: scoring broke"
+
+
+def test_retrain_error_kills_the_scorer(tmp_path, monkeypatch, capsys):
+    candidates, calls = refurbish.refurbish_candidates, []
+
+    def failing_at_epoch_three(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("retrain broke")
+        return candidates(*args, **kwargs)
+
+    monkeypatch.setattr(refurbish, "refurbish_candidates", failing_at_epoch_three)
+    monkeypatch.setattr(cli, "_score_epochs", lambda *args: time.sleep(60))
+    t0 = time.perf_counter()
+    assert failed_seed(tmp_path, capsys, "prestopping_plus") == "ValueError: retrain broke"
+    assert time.perf_counter() - t0 < 30  # killed, not waited for
+
+
+# ----- BLAS threads -----
+
+@pytest.mark.skipif(cli._openblas_threads() is None, reason="NumPy's BLAS is not OpenBLAS")
+def test_training_runs_on_one_blas_thread(tmp_path, monkeypatch):
+    get, put = cli._openblas_threads()
+    before, seen, run_default = get(), [], engine.run_default
+
+    def reading_threads(*args, **kwargs):
+        seen.append(get())
+        return run_default(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_default", reading_threads)
+    put(2)
+    try:
+        outside = get()
+        assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0",
+                                             epochs=2)) == 0
+        assert seen == [1] and get() == outside  # restored afterwards
+    finally:
+        put(before)

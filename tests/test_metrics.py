@@ -25,8 +25,9 @@ def test_snapshot_counts_add_up():
     hist.record_batch(np.arange(train.n), g.integers(0, 3, size=train.n))
     state = nn.init_state(nn.NetworkSpec((4, 6, 3)), rng.stream(1, "init"))
     mask = hist.memorized_mask(train.noisy_labels)
-    ctx = engine.EpochContext("phase1", 4, state, hist, mask.copy(), 0.1, train_error=0.4)
+    ctx = engine.EpochContext("phase1", 4, state, hist, mask.copy(), 0.1, train.train_view())
     row = metrics.snapshot_epoch(ctx, train, test)
+    assert row.train_error == nn.evaluate_error(train.features, train.noisy_labels, state)
     clean = train.noisy_labels == train.true_labels
     assert row.safe_set_size == mask.sum()
     assert row.memorized_true_count == np.count_nonzero(mask & clean)
