@@ -3,9 +3,8 @@
 Each seed is an isolated job: the data, noise, init and shuffle streams are all
 derived from that seed, so reruns reproduce bit-identical metrics files and
 seeds can execute in parallel. A Prestopping seed also runs its Phase II in a
-forked child process beside Phase I (run_prestopping_overlapped), and a
-Prestopping+ seed scores its retrain's epochs in another
-(run_prestopping_plus_scored). Layout per run, written whole:
+forked child process beside Phase I (run_prestopping_overlapped), and scores
+its epochs in forked children too (_train_one). Layout per run, written whole:
 
     <out>/<method>/<noise>_<tau>/seed<k>/
         metrics.csv        one row per epoch (all phases)
@@ -24,6 +23,7 @@ import argparse
 import contextlib
 import ctypes
 import fcntl
+import functools
 import multiprocessing
 import os
 import pickle
@@ -236,8 +236,13 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
     return data.split(full, spec)
 
 
+@functools.cache
 def _openblas_threads():
-    """(get, set) thread-count functions of NumPy's bundled OpenBLAS, or None."""
+    """(get, set) thread-count functions of NumPy's bundled OpenBLAS, or None.
+
+    Looked up once per process (forked children inherit the lookup): each
+    lookup globs numpy.libs and loads the library handle anew.
+    """
     for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
         handle = ctypes.CDLL(str(lib))
         for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
@@ -278,32 +283,41 @@ def _one_blas_thread():
 # process): the parent sends without waiting for a child still busy with an
 # earlier message, so a scorer that falls behind does not hold up training
 INBOX_BYTES = 1 << 20
+# niceness a child takes once it only scores, so that it yields the cores to training
+SCORING_NICENESS = 19
 
 
-def _child_main(result_end, inbox, body, args) -> None:
-    """Forked child: runs body(*args) and sends (outcome, warnings) once over result_end.
+def _child_main(result_end, inbox, handover, body, args) -> None:
+    """Forked child: runs body(*args) and sends (outcome, warnings) over result_end.
 
     outcome is body's return value or the exception it raised; the warnings
-    it issued are re-issued by the parent. inbox is the parent's write end of
-    the child's inbox, or None: the child closes its copy, so the parent
-    closing its own reads as EOF in the child.
+    it issued are re-issued by the parent. With handover, body's first
+    argument is hand_over(value), which sends value, and the warnings issued
+    so far, before the outcome. inbox is the parent's write end of the
+    child's inbox, or None: the child closes its copy, so the parent closing
+    its own reads as EOF in the child.
     """
     if inbox is not None:
         inbox.close()
     with warnings.catch_warnings(record=True) as caught:
+        def send(outcome):
+            result_end.send((outcome, [(w.message, w.category, w.filename, w.lineno)
+                                       for w in caught]))
+            caught.clear()
+
         try:
-            outcome = body(*args)
+            outcome = body(*((send, *args) if handover else args))
         except Exception as exc:
             outcome = exc
             try:
                 pickle.loads(pickle.dumps(exc))
             except Exception:  # an exception that cannot cross travels as its text
                 outcome = RuntimeError(f"{type(exc).__name__}: {exc}")
-    result_end.send((outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+        send(outcome)
 
 
 class _ForkedChild:
-    """At most one forked child process of one seed, whose one result comes back over a pipe.
+    """At most one forked child process of one seed, whose result comes back over a pipe.
 
     The child starts from a copy-on-write image of this process, so nothing
     is pickled on the way in. The caller must run no other threads (the CLI
@@ -314,18 +328,20 @@ class _ForkedChild:
         self.seed, self.what = seed, what
         self._proc = self._conn = self._inbox = None
 
-    def start(self, body, *args, inbox: bool = False) -> None:
+    def start(self, body, *args, inbox: bool = False, handover: bool = False) -> None:
         """Kill and reap the running child, if any, then fork one running body(*args).
 
-        With inbox, body's first argument is the read end of a pipe that
-        send() feeds; it reads EOF once result() is called.
+        With handover, body's first argument is hand_over(value), and
+        handover() returns that value before result() returns body's. With
+        inbox, the next argument is the read end of a pipe that send() feeds;
+        it reads EOF once result() is called.
         """
         self.stop()
         fork = multiprocessing.get_context("fork")
         self._conn, result_end = fork.Pipe(duplex=False)
         reader, self._inbox = fork.Pipe(duplex=False) if inbox else (None, None)
-        self._proc = fork.Process(target=_child_main,
-                                  args=(result_end, self._inbox, body,
+        self._proc = fork.Process(target=_child_main, name=f"{self.what} of seed {self.seed}",
+                                  args=(result_end, self._inbox, handover, body,
                                         args if reader is None else (reader, *args)))
         self._proc.start()
         result_end.close()  # the child holds the only write end: its death reads as EOF
@@ -352,23 +368,89 @@ class _ForkedChild:
                     end.close()
             self._proc = self._conn = self._inbox = None
 
+    def handover(self):
+        """Wait for the value the child hands over; it fails as in result()."""
+        return self._receive()
+
     def result(self):
         """Close the inbox, then wait for the child: body's return value, or its exception."""
         if self._inbox is not None:
             self._inbox.close()
             self._inbox = None
+        outcome = self._receive()
+        self._proc.join()
+        return outcome
+
+    def _receive(self):
         try:
             outcome, caught = self._conn.recv()
         except EOFError:
             self._proc.join()
             raise RuntimeError(f"seed {self.seed}: {self.what} exited with code "
                                f"{self._proc.exitcode} without a result") from None
-        self._proc.join()
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
         if isinstance(outcome, BaseException):
             raise outcome
         return outcome
+
+
+def _epoch(ctx: engine.EpochContext, train_error: Optional[float] = None) -> tuple:
+    """What scoring needs of one epoch; the parameters are copied, as training goes on."""
+    return (ctx.phase, ctx.epoch, ctx.lr, ctx.validation_error, train_error,
+            ctx.state.params.copy(), ctx.memorized)
+
+
+def _score(collector: metrics.MetricsCollector, view, net_spec, epoch: tuple) -> None:
+    """Feed collector one _epoch. The state is rebuilt with a zero velocity and the
+    context carries no histories: no score reads either."""
+    phase, number, lr, validation_error, train_error, params, memorized = epoch
+    state = nn.NetworkState(net_spec, params, np.zeros_like(params), number)
+    ctx = engine.EpochContext(phase, number, state, None, memorized, lr, view,
+                              validation_error)
+    if train_error is not None:
+        ctx.train_error = train_error  # the sender's evaluation stands in for the cached one
+    collector(ctx)
+
+
+def _score_epochs(inbox, view, net_spec, collector):
+    """Scorer body: at low priority, scores one _epoch per inbox message until EOF.
+
+    collector is a fresh one. Returns its rows, its histogram and the phase
+    of the epoch that captured the histogram (None without one).
+    """
+    os.nice(SCORING_NICENESS)
+    captured = None
+    while True:
+        try:
+            epoch = inbox.recv()
+        except EOFError:
+            return collector.rows, collector.histogram, captured
+        _score(collector, view, net_spec, epoch)
+        if captured is None and collector.histogram is not None:
+            captured = epoch[0]  # the epoch's phase
+
+
+def _sender(scorer: _ForkedChild, with_train_error: bool = False):
+    """Observer sending each epoch to scorer, with its train error if asked for
+    (where the stop rule reads it anyway, so this process evaluates it once)."""
+    def send(ctx):
+        scorer.send(_epoch(ctx, ctx.train_error if with_train_error else None))
+    return send
+
+
+def _phase2_body(hand_over, ckpt, view, opt, seed, collector):
+    """Phase II child body: hands over (state, safe mask, histories) as soon as
+    Phase II has trained, then scores its epochs at low priority with
+    collector, a fresh one; returns its rows and histogram."""
+    kept = []
+    state, safe, histories = engine.phase2_train(
+        ckpt, view, opt, seed, observer=lambda ctx: kept.append(_epoch(ctx)))
+    hand_over((state, safe, histories))
+    os.nice(SCORING_NICENESS)
+    for epoch in kept:
+        _score(collector, view, ckpt.state.spec, epoch)
+    return collector.rows, collector.histogram
 
 
 def _adopt(collector: metrics.MetricsCollector, rows, histogram) -> None:
@@ -379,85 +461,40 @@ def _adopt(collector: metrics.MetricsCollector, rows, histogram) -> None:
         collector.histogram = histogram
 
 
-def _phase2_body(ckpt, view, opt, seed, collector):
-    """Phase II child body: (state, safe mask, histories, rows, histogram)."""
-    state, safe, histories = engine.phase2_train(ckpt, view, opt, seed, observer=collector)
-    return state, safe, histories, collector.rows, collector.histogram
-
-
 def run_prestopping_overlapped(view, heuristic: engine.StopHeuristic, net_spec, opt,
-                               q: int, seed: int,
-                               collector: metrics.MetricsCollector) -> engine.PrestopResult:
-    """engine.run_prestopping, with Phase II run beside the rest of Phase I.
+                               q: int, seed: int, scorer: _ForkedChild,
+                               phase2: _ForkedChild,
+                               fresh: metrics.MetricsCollector) -> engine.PrestopResult:
+    """engine.run_prestopping with Phase II run beside the rest of Phase I, and
+    no epoch scored in this process.
 
-    Each checkpoint Phase I takes restarts Phase II from it in a child
-    process, so Phase II from the final checkpoint overlaps Phase I's
-    remaining epochs. The child scores its epochs with a fresh collector;
-    its rows and histogram are adopted in the serial observer order, so every
-    output is byte-identical to the serial run's.
+    Phase I sends each epoch to scorer. Each checkpoint Phase I takes
+    restarts Phase II from it in phase2, so Phase II from the final checkpoint
+    overlaps Phase I's remaining epochs. This returns as soon as phase2
+    hands over its result; the child then scores its epochs with a copy of
+    fresh, an empty collector, and phase2.result() gives its rows and histogram.
     """
-    phase2 = _ForkedChild(seed, "Phase II process")
-
     def restart(ckpt):
-        fresh = metrics.MetricsCollector(collector.train_ds, collector.test_view)
-        phase2.start(_phase2_body, ckpt, view, opt, seed, fresh)
+        phase2.start(_phase2_body, ckpt, view, opt, seed, fresh, handover=True)
 
-    try:
-        ckpt = engine.phase1_train(view, heuristic, net_spec, opt, q, seed, collector,
-                                   on_checkpoint=restart)
-        state, safe, histories, rows, histogram = phase2.result()
-    finally:
-        phase2.stop()
-    _adopt(collector, rows, histogram)
+    send = _sender(scorer, with_train_error=heuristic.kind == "noise_rate")
+    ckpt = engine.phase1_train(view, heuristic, net_spec, opt, q, seed, send,
+                               on_checkpoint=restart)
+    state, safe, histories = phase2.handover()
     return engine.PrestopResult(ckpt, state, safe, histories)
 
 
-def _score_epochs(inbox, view, net_spec, collector):
-    """Scorer body: feeds collector one epoch per inbox message until EOF.
-
-    Returns the rows it added and its histogram. The state is rebuilt with a
-    zero velocity and the context carries no histories: no score reads either.
-    """
-    first = len(collector.rows)
-    while True:
-        try:
-            phase, epoch, lr, validation_error, params, memorized = inbox.recv()
-        except EOFError:
-            return collector.rows[first:], collector.histogram
-        state = nn.NetworkState(net_spec, params, np.zeros_like(params), epoch)
-        collector(engine.EpochContext(phase, epoch, state, None, memorized, lr, view,
-                                      validation_error))
-
-
-def run_prestopping_plus_scored(view, trusted_mask, net_spec, opt, q: int, epsilon: float,
-                                seed: int, collector: metrics.MetricsCollector):
-    """refurbish.run_prestopping_plus, with collector scoring its epochs in a child process.
-
-    Training never reads the scores, so this process only trains: each epoch
-    it sends the parameters and memorized mask to a forked scorer, which
-    holds a copy of collector and evaluates there. The scorer's rows follow
-    the earlier ones and its histogram is adopted in the serial observer
-    order, so every output is byte-identical to the serial run's.
-    """
-    scorer = _ForkedChild(seed, "scorer process")
-    scorer.start(_score_epochs, view, net_spec, collector, inbox=True)
-
-    def send(ctx):  # pickled as it is sent, so the live parameters need no copy
-        scorer.send((ctx.phase, ctx.epoch, ctx.lr, ctx.validation_error, ctx.state.params,
-                     ctx.memorized))
-
-    try:
-        plus = refurbish.run_prestopping_plus(view, trusted_mask, net_spec, opt, q,
-                                              epsilon, seed, observer=send)
-        rows, histogram = scorer.result()
-    finally:
-        scorer.stop()
-    _adopt(collector, rows, histogram)
-    return plus
-
-
 def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
-    """Dispatch on method; returns (checkpoint or None, plus result or None)."""
+    """Dispatch on method; returns (PrestopResult or None, plus result or None).
+
+    A Prestopping seed trains in this process and in its Phase II child
+    (run_prestopping_overlapped) and scores its epochs in neither: a scorer
+    child, forked before Phase I, scores Phase I's and the retrain's epochs as
+    this process sends them, and the Phase II child scores its own after its
+    handover. Their rows and histograms are adopted in the serial observer
+    order (Phase I, Phase II, retrain), so every output is byte-identical to
+    the serial run's.
+    """
     view = train_ds.train_view()
     net = cfg.net_spec(view.features.shape[1], view.n_classes)
     opt = cfg.optimizer()
@@ -466,12 +503,28 @@ def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
             engine.run_default(view, net, opt, cfg.q, seed, observer=collector)
             return None, None
         heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
-        result = run_prestopping_overlapped(view, heur, net, opt, cfg.q, seed, collector)
-        if cfg.method == "prestopping":
-            return result.checkpoint, None
-        plus = run_prestopping_plus_scored(view, result.safe_set, net, opt, cfg.q,
-                                           cfg.epsilon, seed, collector)
-    return result.checkpoint, plus
+        fresh = metrics.MetricsCollector(collector.train_ds, collector.test_view)
+        scorer = _ForkedChild(seed, "scorer process")
+        phase2 = _ForkedChild(seed, "Phase II process")
+        try:
+            scorer.start(_score_epochs, view, net, fresh, inbox=True)
+            result = run_prestopping_overlapped(view, heur, net, opt, cfg.q, seed,
+                                                scorer, phase2, fresh)
+            plus = None
+            if cfg.method == "prestopping_plus":
+                plus = refurbish.run_prestopping_plus(view, result.safe_set, net, opt, cfg.q,
+                                                      cfg.epsilon, seed,
+                                                      observer=_sender(scorer))
+            phase2_rows, phase2_histogram = phase2.result()
+            rows, histogram, captured = scorer.result()
+            phase1 = sum(r.phase == "phase1" for r in rows)
+            _adopt(collector, rows[:phase1], histogram if captured == "phase1" else None)
+            _adopt(collector, phase2_rows, phase2_histogram)
+            _adopt(collector, rows[phase1:], histogram)
+        finally:
+            scorer.stop()
+            phase2.stop()
+    return result, plus
 
 
 def _write_refurbished_csv(refurb, path) -> None:
@@ -512,7 +565,8 @@ def run_single(cfg: ExperimentConfig, seed: int) -> metrics.RunSummary:
     t0 = time.perf_counter()
     train_ds, val_view, test_view = build_dataset(cfg, seed)
     collector = metrics.MetricsCollector(train_ds, test_view)
-    ckpt, plus = _train_one(cfg, seed, train_ds, val_view, collector)
+    result, plus = _train_one(cfg, seed, train_ds, val_view, collector)
+    ckpt = None if result is None else result.checkpoint
     with _whole_directory(cfg.run_dir(seed)) as run_dir:
         metrics.write_metrics_csv(collector.rows, run_dir / "metrics.csv")
         if collector.histogram is not None:

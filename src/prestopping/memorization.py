@@ -3,7 +3,9 @@
 A sample counts as memorized when the most frequent label in its recent
 prediction history equals its (noisy) training label. Histories are ring
 buffers of the last q predicted labels; until q predictions exist, label
-frequencies use the current history length as denominator.
+frequencies use the current history length as denominator. Each sample's
+label counts over its ring are kept up to date as labels are recorded, so
+no query recounts the rings.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class PredictionHistory:
         self._buf = np.zeros((n_samples, q), dtype=np.uint8)
         self._fill = np.zeros(n_samples, dtype=np.int64)
         self._pos = np.zeros(n_samples, dtype=np.int64)
+        # (n, k) occurrences of each label in each ring; a count never exceeds q
+        self._counts = np.zeros((n_samples, n_classes), dtype=np.uint8)
 
     # ----- recording -----
 
@@ -54,8 +58,15 @@ class PredictionHistory:
             raise ValueError(f"label out of range [0, {self.n_classes})")
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate sample indices in one recording call")
-        self._buf[indices, self._pos[indices]] = labels
-        self._pos[indices] = (self._pos[indices] + 1) % self.q
+        pos = self._pos[indices]
+        cells = indices * self.n_classes  # row starts in the flat count table
+        counts = self._counts.reshape(-1)
+        # a full ring's write evicts its oldest label; distinct indices never
+        # repeat a cell within one statement
+        counts[cells + self._buf[indices, pos]] -= self._fill[indices] == self.q
+        counts[cells + labels] += 1
+        self._buf[indices, pos] = labels
+        self._pos[indices] = (pos + 1) % self.q
         self._fill[indices] = np.minimum(self._fill[indices] + 1, self.q)
 
     # ----- queries -----
@@ -73,14 +84,17 @@ class PredictionHistory:
 
     def label_counts(self, indices=None) -> np.ndarray:
         """(m, n_classes) occurrence counts over each sample's current history."""
-        if indices is None:
-            indices = np.arange(self.n_samples)
-        indices = np.asarray(indices, dtype=np.int64)
-        m, k = len(indices), self.n_classes
-        valid = np.arange(self.q)[None, :] < self._fill[indices][:, None]  # ring order irrelevant
-        cells = np.arange(m)[:, None] * k + self._buf[indices]  # flat (row, label) cell
-        counts = np.bincount(cells[valid], minlength=m * k)
-        return counts.reshape(m, k).astype(np.int64, copy=False)
+        counts = self._counts if indices is None \
+            else self._counts[np.asarray(indices, dtype=np.int64)]
+        return counts.astype(np.int64)
+
+    def _recount(self) -> None:
+        """Rebuild the label counts from the rings."""
+        n, k = self.n_samples, self.n_classes
+        valid = np.arange(self.q)[None, :] < self._fill[:, None]  # ring order irrelevant
+        cells = np.arange(n)[:, None] * k + self._buf  # flat (row, label) cell
+        counts = np.bincount(cells[valid], minlength=n * k)
+        self._counts = counts.reshape(n, k).astype(np.uint8)
 
     def label_probability(self, index: int, label: int) -> float:
         """Frequency of label in the sample's history; error when history is empty."""
@@ -111,8 +125,7 @@ class PredictionHistory:
         noisy_labels = np.asarray(noisy_labels, dtype=np.int64)
         if len(noisy_labels) != len(indices):
             raise ValueError("noisy_labels must align with indices")
-        counts = self.label_counts(indices)
-        top = np.argmax(counts, axis=1)  # first max = smallest class index on ties
+        top = np.argmax(self._counts[indices], axis=1)  # first max = smallest class on ties
         return (self._fill[indices] > 0) & (top == noisy_labels)
 
     # ----- lifecycle -----
@@ -122,6 +135,7 @@ class PredictionHistory:
         dup._buf = self._buf.copy()
         dup._fill = self._fill.copy()
         dup._pos = self._pos.copy()
+        dup._counts = self._counts.copy()
         return dup
 
     # ----- sidecar file format -----
@@ -172,6 +186,7 @@ class PredictionHistory:
             hist._pos[i] = length % q
         if off != len(raw):
             raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
+        hist._recount()
         return hist
 
 

@@ -203,9 +203,13 @@ def _softmax_ce(logits, labels=None):
     """Overwrite logits with softmax probabilities; per-sample CE when labels given.
 
     The row max, shifted exponentials and row sums serve both results, so the
-    cross-entropy is the log-sum-exp guarded lse(z) - z[y].
+    cross-entropy is the log-sum-exp guarded lse(z) - z[y]. The row max is
+    taken column by column: for few classes that is much faster than
+    max(axis=1), and both results are bitwise the same.
     """
-    m = logits.max(axis=1, keepdims=True)
+    m = logits[:, :1].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(m, logits[:, j:j + 1], out=m)
     picked = None if labels is None else logits[np.arange(len(labels)), labels]
     logits -= m
     np.exp(logits, out=logits)

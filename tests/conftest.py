@@ -77,8 +77,9 @@ class DeskLab:
             train_ds, val_view, test_view = self.dataset(noise, tau, seed)
             collector = metrics.MetricsCollector(train_ds, test_view)
             t0 = time.perf_counter()
-            ckpt, _ = cli._train_one(cfg, seed, train_ds, val_view, collector)
+            result, _ = cli._train_one(cfg, seed, train_ds, val_view, collector)
             wall = time.perf_counter() - t0
+            ckpt = None if result is None else result.checkpoint
             self._runs[key] = DeskRun(collector, ckpt, train_ds, wall)
         return self._runs[key]
 

@@ -353,16 +353,21 @@ def tiny_config(**kw):
 
 
 def serial_and_overlapped(cfg, seed):
-    """[(PrestopResult, MetricsCollector)] of engine.run_prestopping, then of the overlapped run."""
+    """[(PrestopResult, MetricsCollector)] of engine.run_prestopping, then of cli._train_one."""
     train_ds, val_view, test_view = cli.build_dataset(cfg, seed)
     view = train_ds.train_view()
     net = cfg.net_spec(view.features.shape[1], view.n_classes)
     heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
-    runs = []
-    for run in (engine.run_prestopping, cli.run_prestopping_overlapped):
-        collector = metrics.MetricsCollector(train_ds, test_view)
-        runs.append((run(view, heur, net, cfg.optimizer(), cfg.q, seed, collector), collector))
-    return runs
+    serial = metrics.MetricsCollector(train_ds, test_view)
+    result = engine.run_prestopping(view, heur, net, cfg.optimizer(), cfg.q, seed, serial)
+    overlapped = metrics.MetricsCollector(train_ds, test_view)
+    o_result, plus = cli._train_one(cfg, seed, train_ds, val_view, overlapped)
+    assert plus is None
+    return [(result, serial), (o_result, overlapped)]
+
+
+def phase2_children() -> list:
+    return [p for p in multiprocessing.active_children() if p.name.startswith("Phase II")]
 
 
 def run_bytes(result, collector, work) -> dict:
@@ -388,9 +393,10 @@ def run_bytes(result, collector, work) -> dict:
 def test_overlapped_run_is_byte_identical_to_serial(tmp_path, monkeypatch, histogram_phase):
     restarts, start = [], cli._ForkedChild.start
 
-    def counted(self, body, ckpt, *args, **kwargs):
-        restarts.append(ckpt.epoch)
-        start(self, body, ckpt, *args, **kwargs)
+    def counted(self, body, *args, **kwargs):
+        if body is cli._phase2_body:
+            restarts.append(args[0].epoch)
+        start(self, body, *args, **kwargs)
 
     monkeypatch.setattr(cli._ForkedChild, "start", counted)
     if histogram_phase == "phase2":
@@ -443,7 +449,7 @@ def test_phase1_error_kills_the_running_phase2(tmp_path, monkeypatch, capsys):
         def restart_then_fail(ckpt):
             on_checkpoint(ckpt)
             taken.append(ckpt)
-            assert len(multiprocessing.active_children()) == 1  # the old child is gone
+            assert len(phase2_children()) == 1  # the old child is gone
             if len(taken) == 2:
                 raise RuntimeError("phase one broke")
         return phase1(*args, on_checkpoint=restart_then_fail, **kwargs)
@@ -456,16 +462,49 @@ def test_phase1_error_kills_the_running_phase2(tmp_path, monkeypatch, capsys):
 
 
 def test_phase2_warnings_reach_the_parent(monkeypatch):
-    phase2, parent = engine.phase2_train, os.getpid()
+    phase2, snapshot, parent = engine.phase2_train, metrics.snapshot_epoch, os.getpid()
 
     def warning_phase2(*args, **kwargs):
         if os.getpid() != parent:
             warnings.warn("from the Phase II process", RuntimeWarning)
         return phase2(*args, **kwargs)
 
+    def warning_snapshot(ctx, *args):  # Phase II scores after its handover
+        if ctx.phase == "phase2" and ctx.epoch == 5 and os.getpid() != parent:
+            warnings.warn("from Phase II's scoring", RuntimeWarning)
+        return snapshot(ctx, *args)
+
     monkeypatch.setattr(engine, "phase2_train", warning_phase2)
-    with pytest.warns(RuntimeWarning, match="from the Phase II process"):
+    monkeypatch.setattr(metrics, "snapshot_epoch", warning_snapshot)
+    with pytest.warns(RuntimeWarning) as caught:
         serial_and_overlapped(tiny_config(), 0)
+    assert [str(w.message) for w in caught] == ["from the Phase II process",
+                                                "from Phase II's scoring"]
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit"])
+def test_phase2_failure_after_the_handover_fails_the_seed(tmp_path, monkeypatch, capsys,
+                                                          failure):
+    score, retrain, retrained = cli._score, refurbish.run_prestopping_plus, []
+
+    def failing_phase2_scoring(collector, view, net_spec, epoch):
+        if epoch[0] == "phase2":  # only the Phase II child scores these, after its handover
+            if failure == "exit":
+                os._exit(3)
+            raise ValueError("Phase II scoring broke")
+        return score(collector, view, net_spec, epoch)
+
+    def counted_retrain(*args, **kwargs):
+        retrained.append(None)
+        return retrain(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_score", failing_phase2_scoring)
+    monkeypatch.setattr(refurbish, "run_prestopping_plus", counted_retrain)
+    expected = {"raise": "ValueError: Phase II scoring broke",
+                "exit": "RuntimeError: seed 0: Phase II process exited with code 3 "
+                        "without a result"}
+    assert failed_seed(tmp_path, capsys, "prestopping_plus") == expected[failure]
+    assert retrained == [None]  # the handover came first
 
 
 # ----- the Prestopping+ retrain scored in a child process -----
@@ -486,17 +525,19 @@ def plus_bytes(plus, collector, work) -> dict:
     return out
 
 
-@pytest.mark.parametrize("histogram_phase", ["phase1", "plus"])
+PHASES = ("phase1", "phase2", "plus")
+
+
+@pytest.mark.parametrize("histogram_phase", PHASES)
 def test_scored_retrain_is_byte_identical_to_serial(tmp_path, monkeypatch, histogram_phase):
-    if histogram_phase == "plus":
-        observe = metrics.MetricsCollector.__call__
+    observe = metrics.MetricsCollector.__call__
 
-        def plus_histogram(self, ctx):
-            observe(self, ctx)
-            if ctx.phase != "plus":
-                self.histogram = None  # no capture before the retrain: the scorer's is adopted
+    def late_histogram(self, ctx):
+        observe(self, ctx)
+        if PHASES.index(ctx.phase) < PHASES.index(histogram_phase):
+            self.histogram = None  # no capture before histogram_phase
 
-        monkeypatch.setattr(metrics.MetricsCollector, "__call__", plus_histogram)
+    monkeypatch.setattr(metrics.MetricsCollector, "__call__", late_histogram)
     cfg = tiny_config(method="prestopping_plus", epochs=8)
     train_ds, val_view, test_view = cli.build_dataset(cfg, 0)
     view = train_ds.train_view()
@@ -507,23 +548,59 @@ def test_scored_retrain_is_byte_identical_to_serial(tmp_path, monkeypatch, histo
     plus = refurbish.run_prestopping_plus(view, result.safe_set, net, cfg.optimizer(), cfg.q,
                                           cfg.epsilon, 0, observer=serial)
     scored = metrics.MetricsCollector(train_ds, test_view)
-    ckpt, scored_plus = cli._train_one(cfg, 0, train_ds, val_view, scored)
+    scored_result, scored_plus = cli._train_one(cfg, 0, train_ds, val_view, scored)
     capture = next(r for r in serial.rows if r.phase == histogram_phase and r.train_error < 0.5)
     assert serial.histogram.epoch == capture.epoch
     assert [r.phase for r in serial.rows].count("plus") == cfg.epochs
-    assert ckpt.epoch == result.checkpoint.epoch
+    # the scorer also captures one in the retrain, which the merge must drop
+    assert any(r.phase == "plus" and r.train_error < 0.5 for r in serial.rows)
+    assert scored_result.checkpoint.epoch == result.checkpoint.epoch
+    assert scored_result.safe_set.tobytes() == result.safe_set.tobytes()
     assert plus_bytes(scored_plus, scored, tmp_path / "c") == \
         plus_bytes(plus, serial, tmp_path / "s")
 
 
-def test_parent_makes_no_evaluation_during_the_retrain(tmp_path, monkeypatch):
-    parent, retraining, calls = os.getpid(), [False], []
-    evaluate, retrain = nn.evaluate_error, refurbish.run_prestopping_plus
+def test_noise_rate_train_error_is_sent_with_phase1_epochs(tmp_path, monkeypatch):
+    # the stop rule reads the train error in this process; the scorer takes it over
+    score, log = cli._score, tmp_path / "scored.txt"
 
-    def counted_evaluate(*args, **kwargs):
-        if os.getpid() == parent:
-            calls.append(retraining[0])
-        return evaluate(*args, **kwargs)
+    def logged_score(collector, view, net_spec, epoch):
+        with open(log, "a") as fh:  # written by the children
+            fh.write(f"{epoch[0]} {epoch[4] is not None}\n")
+        return score(collector, view, net_spec, epoch)
+
+    monkeypatch.setattr(cli, "_score", logged_score)
+    cfg = tiny_config(method="prestopping_plus", heuristic="noise_rate", tau=0.3,
+                      epochs=12, spread=0.2)
+    train_ds, val_view, test_view = cli.build_dataset(cfg, 0)
+    view = train_ds.train_view()
+    net = cfg.net_spec(view.features.shape[1], view.n_classes)
+    heur = engine.StopHeuristic("noise_rate", tau=cfg.tau)
+    serial = metrics.MetricsCollector(train_ds, test_view)
+    result = engine.run_prestopping(view, heur, net, cfg.optimizer(), cfg.q, 0, serial)
+    plus = refurbish.run_prestopping_plus(view, result.safe_set, net, cfg.optimizer(), cfg.q,
+                                          cfg.epsilon, 0, observer=serial)
+    scored = metrics.MetricsCollector(train_ds, test_view)
+    scored_result, scored_plus = cli._train_one(cfg, 0, train_ds, val_view, scored)
+    assert scored_result.checkpoint.epoch == result.checkpoint.epoch < cfg.epochs
+    assert plus_bytes(scored_plus, scored, tmp_path / "c") == \
+        plus_bytes(plus, serial, tmp_path / "s")
+    sent = sorted(set(log.read_text().splitlines()))
+    assert sent == ["phase1 True", "phase2 False", "plus False"]
+
+
+def test_parent_makes_no_evaluation_during_the_retrain(tmp_path, monkeypatch):
+    # nor any other evaluation than the validation set's, which the stop rule reads
+    parent, retraining, calls = os.getpid(), [False], []
+    evaluate, losses = nn.evaluate_error, nn.per_sample_losses
+    retrain = refurbish.run_prestopping_plus
+
+    def counted(evaluation):
+        def wrapper(features, *args, **kwargs):
+            if os.getpid() == parent:
+                calls.append((retraining[0], len(features)))
+            return evaluation(features, *args, **kwargs)
+        return wrapper
 
     def flagged_retrain(*args, **kwargs):
         retraining[0] = True
@@ -532,13 +609,17 @@ def test_parent_makes_no_evaluation_during_the_retrain(tmp_path, monkeypatch):
         finally:
             retraining[0] = False
 
-    monkeypatch.setattr(nn, "evaluate_error", counted_evaluate)
+    monkeypatch.setattr(nn, "evaluate_error", counted(evaluate))
+    monkeypatch.setattr(nn, "per_sample_losses", counted(losses))
     monkeypatch.setattr(refurbish, "run_prestopping_plus", flagged_retrain)
-    assert cli.main(["run"] + tiny_flags(tmp_path, method="prestopping_plus", seeds="0")) == 0
+    # 30 validation, 40 test and 80 training samples: the row counts tell them apart
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="prestopping_plus", seeds="0",
+                                         test_size=40)) == 0
     rows = metrics.read_metrics_csv(
         tmp_path / "prestopping_plus" / "pair_0.3" / "seed0" / "metrics.csv")
     assert [r.phase for r in rows].count("plus") == 5  # scored, by the child
-    assert calls and not any(calls)
+    assert {r.phase for r in rows} == set(PHASES)
+    assert calls == [(False, 30)] * 5  # one per Phase I epoch
 
 
 def test_scorer_death_names_seed_and_exit_code(tmp_path, monkeypatch, capsys):
@@ -598,6 +679,29 @@ def test_retrain_error_kills_the_scorer(tmp_path, monkeypatch, capsys):
 
 
 # ----- BLAS threads -----
+
+def test_openblas_is_looked_up_once_per_process(tmp_path, monkeypatch):
+    loads, globs, load, glob = [], [], cli.ctypes.CDLL, cli.Path.glob
+
+    def counted_load(*args, **kwargs):
+        loads.append(args[0])
+        return load(*args, **kwargs)
+
+    def counted_glob(self, pattern):
+        globs.append(pattern)
+        return glob(self, pattern)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", counted_load)
+    monkeypatch.setattr(cli.Path, "glob", counted_glob)
+    cli._openblas_threads.cache_clear()
+    threads = cli._openblas_threads()
+    after_first = len(loads), len(globs)
+    assert after_first[1] == 1 and after_first[0] == (threads is not None)
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0,1",
+                                         epochs=2)) == 0
+    assert (len(loads), len(globs)) == after_first  # neither seed looked it up again
+    assert cli._openblas_threads() is threads
+
 
 @pytest.mark.skipif(cli._openblas_threads() is None, reason="NumPy's BLAS is not OpenBLAS")
 def test_training_runs_on_one_blas_thread(tmp_path, monkeypatch):

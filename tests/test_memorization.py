@@ -183,6 +183,38 @@ def test_record_batch_validation():
         h.record_batch([0, 1], [1, 3])
 
 
+def from_scratch_counts(h) -> np.ndarray:
+    """(n, k) label counts of every sample's current history, recounted."""
+    return np.array([np.bincount(h.history_of(i), minlength=h.n_classes)
+                     for i in range(h.n_samples)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 10])
+def test_kept_label_counts_equal_a_recount(tmp_path, q):
+    # enough rounds of random subsets to fill and wrap every ring, some of
+    # them with repeated labels, so evicted and new labels often coincide
+    n, k = 40, 4
+    g = rng.stream(q, "kept-counts")
+    h = mem.PredictionHistory(n, q, k)
+    for round_ in range(3 * q + 4):
+        idx = g.permutation(n)[:g.integers(1, n + 1)]
+        h.record_batch(idx, g.integers(0, 1 if round_ % 3 == 0 else k, size=len(idx)))
+        counts = h.label_counts()
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, from_scratch_counts(h))
+        assert np.array_equal(h.label_counts(idx), counts[idx])
+    assert np.all(h.label_counts().sum(axis=1) == [h.history_length(i) for i in range(n)])
+    dup = h.copy()
+    dup.record_batch(np.arange(n), np.zeros(n, dtype=np.int64))
+    assert np.array_equal(h.label_counts(), from_scratch_counts(h))
+    assert np.array_equal(dup.label_counts(), from_scratch_counts(dup))
+    h.save(tmp_path / "hist.psth")
+    back = mem.PredictionHistory.load(tmp_path / "hist.psth", n_classes=k)
+    assert np.array_equal(back.label_counts(), h.label_counts())
+    back.record_batch(np.arange(n), g.integers(0, k, size=n))
+    assert np.array_equal(back.label_counts(), from_scratch_counts(back))
+
+
 def test_copy_is_independent():
     h = mem.PredictionHistory(2, q=3, n_classes=3)
     h.record(0, 1)

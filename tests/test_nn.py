@@ -143,6 +143,29 @@ def test_forward_stable_under_large_logits():
     assert np.all(np.isfinite(probs))
 
 
+def test_column_row_max_is_bitwise_a_row_reduction():
+    g = rng.stream(3, "row-max")
+    logits = g.standard_normal((500, 4)) * 30.0
+    logits[:100, 1] = logits[:100, 3]  # tied maxima
+    logits[100:200] = np.round(logits[100:200])  # ties among small integers
+    logits[200:220] = 0.0
+    logits[220:240, ::2] = -0.0  # signed zeros, some rows all zero
+    logits[230:240, 1::2] = -1.0
+    labels = g.integers(0, 4, size=500)
+    probs = logits.copy()
+    ce = nn._softmax_ce(probs, labels)
+    m = logits.max(axis=1, keepdims=True)  # the row reduction it replaces
+    expected = np.exp(logits - m)
+    s = expected.sum(axis=1, keepdims=True)
+    expected /= s
+    expected_ce = (m[:, 0] + np.log(s[:, 0])) - logits[np.arange(500), labels]
+    assert probs.tobytes() == expected.tobytes()
+    assert ce.tobytes() == expected_ce.tobytes()
+    no_labels = logits.copy()
+    assert nn._softmax_ce(no_labels) is None
+    assert no_labels.tobytes() == expected.tobytes()
+
+
 # ----- loss -----
 
 def test_zero_weight_loss_is_log_k():
