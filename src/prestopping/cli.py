@@ -3,8 +3,8 @@
 Each seed is an isolated job: the data, noise, init and shuffle streams are all
 derived from that seed, so reruns reproduce bit-identical metrics files and
 seeds can execute in parallel. A Prestopping seed also runs its Phase II in a
-forked child process beside Phase I (run_prestopping_overlapped), and scores
-its epochs in forked children too (_train_one). Layout per run, written whole:
+forked child process beside Phase I, and scores its epochs in forked children
+too (_train_one). Layout per run, written whole:
 
     <out>/<method>/<noise>_<tau>/seed<k>/
         metrics.csv        one row per epoch (all phases)
@@ -109,9 +109,18 @@ class ExperimentConfig:
             bad("noise", f"must be one of {NOISES}, got {self.noise!r}")
         if self.heuristic not in HEURISTICS:
             bad("heuristic", f"must be one of {HEURISTICS}, got {self.heuristic!r}")
-        if self.data_csv is not None and not Path(self.data_csv).is_file():
-            bad("data_csv", f"file not found: {self.data_csv}")
-        if self.data_csv is None:
+        if self.data_csv is not None:
+            try:
+                full = data.load_csv(self.data_csv)
+            except OSError as exc:
+                bad("data_csv", f"cannot read {self.data_csv}: {exc.strerror or exc}")
+            except ValueError as exc:  # names the file and the line
+                bad("data_csv", str(exc))
+            if full.n_classes > memorization.MAX_CLASSES:
+                bad("data_csv", f"{self.data_csv}: {full.n_classes} classes, at most "
+                    f"{memorization.MAX_CLASSES} supported")
+            total = full.n
+        else:
             if not 2 <= self.n_classes <= memorization.MAX_CLASSES:
                 bad("n_classes", f"must lie in [2, {memorization.MAX_CLASSES}], "
                     f"got {self.n_classes}")
@@ -122,9 +131,9 @@ class ExperimentConfig:
             if self.spread < 0:
                 bad("spread", "must be non-negative")
             total = self.n_classes * self.per_class
-            if self.validation_size + self.test_size >= total:
-                bad("validation_size", f"validation {self.validation_size} + test "
-                    f"{self.test_size} leave no training data out of {total}")
+        if self.validation_size + self.test_size >= total:
+            bad("validation_size", f"validation {self.validation_size} + test "
+                f"{self.test_size} leave no training data out of {total}")
         if self.validation_size < 0:
             bad("validation_size", "must be non-negative")
         if self.test_size < 1:
@@ -287,18 +296,17 @@ INBOX_BYTES = 1 << 20
 SCORING_NICENESS = 19
 
 
-def _child_main(result_end, inbox, handover, body, args) -> None:
-    """Forked child: runs body(*args) and sends (outcome, warnings) over result_end.
+def _child_main(result_end, inbox, parent_end, body, args) -> None:
+    """Forked child: runs body(hand_over, inbox, *args) and sends (outcome, warnings)
+    over result_end.
 
     outcome is body's return value or the exception it raised; the warnings
-    it issued are re-issued by the parent. With handover, body's first
-    argument is hand_over(value), which sends value, and the warnings issued
-    so far, before the outcome. inbox is the parent's write end of the
-    child's inbox, or None: the child closes its copy, so the parent closing
-    its own reads as EOF in the child.
+    it issued are re-issued by the parent. hand_over(value) sends value, and
+    the warnings issued so far, before the outcome. inbox is the read end of
+    the pipe the parent's send() feeds; the child closes its copy of the write
+    end, parent_end, so the parent closing its own reads as EOF in the child.
     """
-    if inbox is not None:
-        inbox.close()
+    parent_end.close()
     with warnings.catch_warnings(record=True) as caught:
         def send(outcome):
             result_end.send((outcome, [(w.message, w.category, w.filename, w.lineno)
@@ -306,7 +314,7 @@ def _child_main(result_end, inbox, handover, body, args) -> None:
             caught.clear()
 
         try:
-            outcome = body(*((send, *args) if handover else args))
+            outcome = body(send, inbox, *args)
         except Exception as exc:
             outcome = exc
             try:
@@ -328,27 +336,27 @@ class _ForkedChild:
         self.seed, self.what = seed, what
         self._proc = self._conn = self._inbox = None
 
-    def start(self, body, *args, inbox: bool = False, handover: bool = False) -> None:
-        """Kill and reap the running child, if any, then fork one running body(*args).
+    def start(self, body, *args) -> None:
+        """Kill and reap the running child, if any, then fork one running
+        body(hand_over, inbox, *args).
 
-        With handover, body's first argument is hand_over(value), and
-        handover() returns that value before result() returns body's. With
-        inbox, the next argument is the read end of a pipe that send() feeds;
-        it reads EOF once result() is called.
+        handover() returns the value passed to hand_over before result()
+        returns body's. inbox is the read end of a pipe that send() feeds; it
+        reads EOF once result() is called.
         """
         self.stop()
         fork = multiprocessing.get_context("fork")
         self._conn, result_end = fork.Pipe(duplex=False)
-        reader, self._inbox = fork.Pipe(duplex=False) if inbox else (None, None)
+        reader, self._inbox = fork.Pipe(duplex=False)
         self._proc = fork.Process(target=_child_main, name=f"{self.what} of seed {self.seed}",
-                                  args=(result_end, self._inbox, handover, body,
-                                        args if reader is None else (reader, *args)))
+                                  args=(result_end, reader, self._inbox, body, args))
         self._proc.start()
-        result_end.close()  # the child holds the only write end: its death reads as EOF
-        if reader is not None:
-            reader.close()  # likewise, sending to a dead child raises BrokenPipeError
-            with contextlib.suppress(AttributeError, OSError):  # Linux only, best effort
-                fcntl.fcntl(self._inbox.fileno(), fcntl.F_SETPIPE_SZ, INBOX_BYTES)
+        # the child holds the only other ends: its death reads as EOF, and
+        # sending to a dead child raises BrokenPipeError
+        result_end.close()
+        reader.close()
+        with contextlib.suppress(AttributeError, OSError):  # Linux only, best effort
+            fcntl.fcntl(self._inbox.fileno(), fcntl.F_SETPIPE_SZ, INBOX_BYTES)
 
     def send(self, message) -> None:
         """Send message to the child's inbox; a child that stopped reading fails as in result()."""
@@ -395,105 +403,62 @@ class _ForkedChild:
         return outcome
 
 
-def _epoch(ctx: engine.EpochContext, train_error: Optional[float] = None) -> tuple:
+def _epoch(ctx: engine.EpochContext) -> tuple:
     """What scoring needs of one epoch; the parameters are copied, as training goes on."""
-    return (ctx.phase, ctx.epoch, ctx.lr, ctx.validation_error, train_error,
-            ctx.state.params.copy(), ctx.memorized)
+    return (ctx.phase, ctx.epoch, ctx.lr, ctx.validation_error, ctx.state.params.copy(),
+            ctx.memorized)
 
 
-def _score(collector: metrics.MetricsCollector, view, net_spec, epoch: tuple) -> None:
-    """Feed collector one _epoch. The state is rebuilt with a zero velocity and the
-    context carries no histories: no score reads either."""
-    phase, number, lr, validation_error, train_error, params, memorized = epoch
-    state = nn.NetworkState(net_spec, params, np.zeros_like(params), number)
-    ctx = engine.EpochContext(phase, number, state, None, memorized, lr, view,
-                              validation_error)
-    if train_error is not None:
-        ctx.train_error = train_error  # the sender's evaluation stands in for the cached one
-    collector(ctx)
+def _scored(collector: metrics.MetricsCollector, view, net_spec, epochs):
+    """At low priority, feed collector, a fresh one, each _epoch of epochs.
 
-
-def _score_epochs(inbox, view, net_spec, collector):
-    """Scorer body: at low priority, scores one _epoch per inbox message until EOF.
-
-    collector is a fresh one. Returns its rows, its histogram and the phase
-    of the epoch that captured the histogram (None without one).
+    Returns its rows, its histogram and the phase of the epoch that captured
+    the histogram (None without one). Each state is rebuilt with a zero
+    velocity and each context carries no histories: no score reads either.
     """
     os.nice(SCORING_NICENESS)
     captured = None
-    while True:
-        try:
-            epoch = inbox.recv()
-        except EOFError:
-            return collector.rows, collector.histogram, captured
-        _score(collector, view, net_spec, epoch)
+    for phase, number, lr, validation_error, params, memorized in epochs:
+        state = nn.NetworkState(net_spec, params, np.zeros_like(params), number)
+        collector(engine.EpochContext(phase, number, state, None, memorized, lr, view,
+                                      validation_error))
         if captured is None and collector.histogram is not None:
-            captured = epoch[0]  # the epoch's phase
+            captured = phase
+    return collector.rows, collector.histogram, captured
 
 
-def _sender(scorer: _ForkedChild, with_train_error: bool = False):
-    """Observer sending each epoch to scorer, with its train error if asked for
-    (where the stop rule reads it anyway, so this process evaluates it once)."""
-    def send(ctx):
-        scorer.send(_epoch(ctx, ctx.train_error if with_train_error else None))
-    return send
+def _score_epochs(hand_over, inbox, view, net_spec, collector):
+    """Scorer body: _scored on one _epoch per inbox message, until EOF."""
+    def received():
+        while True:
+            try:
+                yield inbox.recv()
+            except EOFError:
+                return
+    return _scored(collector, view, net_spec, received())
 
 
-def _phase2_body(hand_over, ckpt, view, opt, seed, collector):
+def _phase2_body(hand_over, inbox, ckpt, view, opt, seed, collector):
     """Phase II child body: hands over (state, safe mask, histories) as soon as
-    Phase II has trained, then scores its epochs at low priority with
-    collector, a fresh one; returns its rows and histogram."""
+    Phase II has trained, then returns _scored on its epochs."""
     kept = []
-    state, safe, histories = engine.phase2_train(
-        ckpt, view, opt, seed, observer=lambda ctx: kept.append(_epoch(ctx)))
-    hand_over((state, safe, histories))
-    os.nice(SCORING_NICENESS)
-    for epoch in kept:
-        _score(collector, view, ckpt.state.spec, epoch)
-    return collector.rows, collector.histogram
-
-
-def _adopt(collector: metrics.MetricsCollector, rows, histogram) -> None:
-    """Append a child's rows, and take its histogram only if none was captured yet:
-    the serial observer order."""
-    collector.rows += rows
-    if collector.histogram is None:
-        collector.histogram = histogram
-
-
-def run_prestopping_overlapped(view, heuristic: engine.StopHeuristic, net_spec, opt,
-                               q: int, seed: int, scorer: _ForkedChild,
-                               phase2: _ForkedChild,
-                               fresh: metrics.MetricsCollector) -> engine.PrestopResult:
-    """engine.run_prestopping with Phase II run beside the rest of Phase I, and
-    no epoch scored in this process.
-
-    Phase I sends each epoch to scorer. Each checkpoint Phase I takes
-    restarts Phase II from it in phase2, so Phase II from the final checkpoint
-    overlaps Phase I's remaining epochs. This returns as soon as phase2
-    hands over its result; the child then scores its epochs with a copy of
-    fresh, an empty collector, and phase2.result() gives its rows and histogram.
-    """
-    def restart(ckpt):
-        phase2.start(_phase2_body, ckpt, view, opt, seed, fresh, handover=True)
-
-    send = _sender(scorer, with_train_error=heuristic.kind == "noise_rate")
-    ckpt = engine.phase1_train(view, heuristic, net_spec, opt, q, seed, send,
-                               on_checkpoint=restart)
-    state, safe, histories = phase2.handover()
-    return engine.PrestopResult(ckpt, state, safe, histories)
+    hand_over(engine.phase2_train(ckpt, view, opt, seed,
+                                  observer=lambda ctx: kept.append(_epoch(ctx))))
+    return _scored(collector, view, ckpt.state.spec, kept)
 
 
 def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
     """Dispatch on method; returns (PrestopResult or None, plus result or None).
 
-    A Prestopping seed trains in this process and in its Phase II child
-    (run_prestopping_overlapped) and scores its epochs in neither: a scorer
-    child, forked before Phase I, scores Phase I's and the retrain's epochs as
-    this process sends them, and the Phase II child scores its own after its
-    handover. Their rows and histograms are adopted in the serial observer
-    order (Phase I, Phase II, retrain), so every output is byte-identical to
-    the serial run's.
+    A Prestopping seed is engine.run_prestopping with Phase II run beside the
+    rest of Phase I, and no epoch scored in this process. A scorer child,
+    forked before Phase I, scores Phase I's and the retrain's epochs as this
+    process sends them. Each checkpoint Phase I takes restarts Phase II from
+    it in a child, so Phase II from the final checkpoint overlaps Phase I's
+    remaining epochs; the retrain starts as soon as that child hands over its
+    result, and the child then scores its own epochs. Rows and histogram are
+    merged in the serial observer order (Phase I, Phase II, retrain), so
+    every output is byte-identical to the serial run's.
     """
     view = train_ds.train_view()
     net = cfg.net_spec(view.features.shape[1], view.n_classes)
@@ -506,24 +471,29 @@ def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
         fresh = metrics.MetricsCollector(collector.train_ds, collector.test_view)
         scorer = _ForkedChild(seed, "scorer process")
         phase2 = _ForkedChild(seed, "Phase II process")
+
+        def send(ctx):
+            scorer.send(_epoch(ctx))
+
         try:
-            scorer.start(_score_epochs, view, net, fresh, inbox=True)
-            result = run_prestopping_overlapped(view, heur, net, opt, cfg.q, seed,
-                                                scorer, phase2, fresh)
+            scorer.start(_score_epochs, view, net, fresh)
+            ckpt = engine.phase1_train(
+                view, heur, net, opt, cfg.q, seed, send,
+                on_checkpoint=lambda c: phase2.start(_phase2_body, c, view, opt, seed, fresh))
+            result = engine.PrestopResult(ckpt, *phase2.handover())
             plus = None
             if cfg.method == "prestopping_plus":
                 plus = refurbish.run_prestopping_plus(view, result.safe_set, net, opt, cfg.q,
-                                                      cfg.epsilon, seed,
-                                                      observer=_sender(scorer))
-            phase2_rows, phase2_histogram = phase2.result()
+                                                      cfg.epsilon, seed, observer=send)
+            phase2_rows, phase2_histogram, _ = phase2.result()
             rows, histogram, captured = scorer.result()
-            phase1 = sum(r.phase == "phase1" for r in rows)
-            _adopt(collector, rows[:phase1], histogram if captured == "phase1" else None)
-            _adopt(collector, phase2_rows, phase2_histogram)
-            _adopt(collector, rows[phase1:], histogram)
         finally:
             scorer.stop()
             phase2.stop()
+    phase1 = sum(r.phase == "phase1" for r in rows)
+    collector.rows += rows[:phase1] + phase2_rows + rows[phase1:]
+    collector.histogram = histogram if captured == "phase1" or phase2_histogram is None \
+        else phase2_histogram
     return result, plus
 
 
@@ -593,6 +563,15 @@ def _seed_job(cfg_dict: dict, seed: int) -> dict:
     return run_single(ExperimentConfig(**cfg_dict), seed).to_dict()
 
 
+def _write_aggregate(out, summaries, failures) -> dict:
+    """Write <out>/summary.json: the runs, their groups and the failures; returns it."""
+    aggregate = metrics.summarize(summaries) if summaries else {"runs": [], "groups": []}
+    aggregate["failures"] = failures
+    Path(out).mkdir(parents=True, exist_ok=True)
+    metrics.write_summary_json(aggregate, Path(out) / "summary.json")
+    return aggregate
+
+
 def execute_run(cfg: ExperimentConfig):
     """All seeds of one configuration; failures are isolated per seed.
 
@@ -624,12 +603,9 @@ def execute_run(cfg: ExperimentConfig):
               f"best_test_error={s.best_test_error:.4f} stop_epoch={stop} "
               f"({s.wall_seconds:.1f}s)")
     for f in failures:
-        print(f"seed {f['seed']} failed: {f['error']}", file=sys.stderr)
-    aggregate = metrics.summarize(summaries) if summaries else {"runs": [], "groups": []}
-    aggregate["failures"] = failures
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    metrics.write_summary_json(aggregate, out / "summary.json")
+        print(f"{cfg.method} {cfg.noise_dir} q={cfg.q}: seed {f['seed']} failed: "
+              f"{f['error']}", file=sys.stderr)
+    _write_aggregate(cfg.out, summaries, failures)
     return summaries, failures
 
 
@@ -667,22 +643,17 @@ def cmd_grid_q(cfg: ExperimentConfig, grid: tuple) -> int:
         sub = replace(cfg, q=qv, out=str(Path(cfg.out) / f"q{qv}"))
         summaries, failures = execute_run(sub)
         all_summaries += summaries
-        all_failures += failures
-    by_q = {g["q"]: g for g in metrics.summarize(all_summaries)["groups"]} \
-        if all_summaries else {}
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+        all_failures += [{"q": qv, **f} for f in failures]
+    aggregate = _write_aggregate(cfg.out, all_summaries, all_failures)
+    by_q = {g["q"]: g for g in aggregate["groups"]}
     lines = ["q,n_runs,mean_best_test_error,se_best_test_error\n"]
     for qv in sorted(grid):
         g = by_q.get(qv)
         lines.append(f"{qv},0,,\n" if g is None else
                      f"{qv},{g['n_runs']},{repr(g['mean_best_test_error'])},"
                      f"{repr(g['se_best_test_error'])}\n")
-    metrics.write_atomic(out / "grid_q.csv", lambda fh: fh.writelines(lines))
+    metrics.write_atomic(Path(cfg.out) / "grid_q.csv", lambda fh: fh.writelines(lines))
     if all_summaries:
-        aggregate = metrics.summarize(all_summaries)
-        aggregate["failures"] = all_failures
-        metrics.write_summary_json(aggregate, out / "summary.json")
         print(_groups_table(aggregate["groups"]))
     return 1 if all_failures or not all_summaries else 0
 

@@ -48,13 +48,12 @@ def snapshot_epoch(ctx: EpochContext, train_ds: NoisyDataset,
     mp, mr = mp_mr(mask, train_ds.noisy_labels, train_ds.true_labels)
     clean = train_ds.noisy_labels == train_ds.true_labels
     true_count = int(np.count_nonzero(mask & clean))
-    false_count = int(np.count_nonzero(mask & ~clean))
     size = int(np.count_nonzero(mask))
-    precision = true_count / size if size else 1.0
     train_error = ctx.train_error  # the larger set first, as the scratch buffers grow to it
     test_error = nn.evaluate_error(test_view.features, test_view.labels, ctx.state)
+    # the safe set's precision is the memorization precision mp
     return EpochMetrics(ctx.epoch, train_error, ctx.validation_error, test_error,
-                        mp, mr, size, true_count, false_count, precision,
+                        mp, mr, size, true_count, size - true_count, mp,
                         ctx.lr, ctx.phase)
 
 

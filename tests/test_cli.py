@@ -76,6 +76,11 @@ def test_shipped_default_config_is_valid():
 def test_config_error_exit_code(tmp_path, capsys):
     # each bad value must surface as a config error naming its key, not as
     # failed runs
+    small, wide, malformed = (tmp_path / name for name in ("small.csv", "wide.csv",
+                                                            "malformed.csv"))
+    data.write_csv(data.synth_gaussian(4, 25, 4, spread=0.4, seed=5), small)
+    wide.write_text("".join(f"0.5,{k % 300}\n" for k in range(1800)))  # 300 classes
+    malformed.write_text("0.5,1.5,0\n0.5,1\n")
     for flags, key in [
         (["--method", "prestopping", "--heuristic", "noise_rate", "--noise", "none"], "tau"),
         (["--q", "300"], "q"),
@@ -86,6 +91,10 @@ def test_config_error_exit_code(tmp_path, capsys):
         # predicted labels are stored as single bytes: 256 classes at most
         (["--method", "default", "--n_classes", "300", "--per_class", "3",
           "--validation_size", "10", "--test_size", "10"], "n_classes"),
+        # a CSV dataset is read before training: too few rows, too many classes, malformed
+        (["--data_csv", str(small)], "validation_size"),
+        (["--data_csv", str(wide)], "data_csv"),
+        (["--data_csv", str(malformed)], "data_csv"),
     ]:
         rc = cli.main(["run"] + flags + ["--out", str(tmp_path)])
         assert rc == 2, flags
@@ -246,6 +255,22 @@ def test_grid_q_row_per_point(tmp_path):
     assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 5, 10]
     summary = metrics.read_summary_json(tmp_path / "summary.json")
     assert sorted({r["q"] for r in summary["runs"]}) == [1, 5, 10]
+
+
+def test_grid_q_failed_rerun_leaves_no_stale_summary(tmp_path, capsys):
+    assert cli.main(["grid-q"] + tiny_flags(tmp_path, seeds="0", epochs=3)
+                    + ["--grid", "1,2"]) == 0
+    # the noise-rate stop point is never reached: every run of the rerun fails
+    rc = cli.main(["grid-q"] + tiny_flags(tmp_path, seeds="0", epochs=3, tau=0.01,
+                                          heuristic="noise_rate") + ["--grid", "1,2"])
+    assert rc == 1
+    summary = metrics.read_summary_json(tmp_path / "summary.json")
+    assert summary["runs"] == [] and summary["groups"] == []
+    assert [(f["q"], f["seed"]) for f in summary["failures"]] == [(1, 0), (2, 0)]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": seed 0 failed: ")[0] for line in err] == \
+        ["prestopping pair_0.01 q=1", "prestopping pair_0.01 q=2"]
+    assert (tmp_path / "grid_q.csv").read_text().splitlines()[1:] == ["1,0,,", "2,0,,"]
 
 
 def test_grid_q_rejects_repeated_values(tmp_path, capsys):
@@ -485,20 +510,23 @@ def test_phase2_warnings_reach_the_parent(monkeypatch):
 @pytest.mark.parametrize("failure", ["raise", "exit"])
 def test_phase2_failure_after_the_handover_fails_the_seed(tmp_path, monkeypatch, capsys,
                                                           failure):
-    score, retrain, retrained = cli._score, refurbish.run_prestopping_plus, []
+    scored, retrain, retrained = cli._scored, refurbish.run_prestopping_plus, []
 
-    def failing_phase2_scoring(collector, view, net_spec, epoch):
-        if epoch[0] == "phase2":  # only the Phase II child scores these, after its handover
-            if failure == "exit":
-                os._exit(3)
-            raise ValueError("Phase II scoring broke")
-        return score(collector, view, net_spec, epoch)
+    def failing_phase2_scoring(collector, view, net_spec, epochs):
+        def checked():  # only the Phase II child scores phase2 epochs, after its handover
+            for epoch in epochs:
+                if epoch[0] == "phase2":
+                    if failure == "exit":
+                        os._exit(3)
+                    raise ValueError("Phase II scoring broke")
+                yield epoch
+        return scored(collector, view, net_spec, checked())
 
     def counted_retrain(*args, **kwargs):
         retrained.append(None)
         return retrain(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_score", failing_phase2_scoring)
+    monkeypatch.setattr(cli, "_scored", failing_phase2_scoring)
     monkeypatch.setattr(refurbish, "run_prestopping_plus", counted_retrain)
     expected = {"raise": "ValueError: Phase II scoring broke",
                 "exit": "RuntimeError: seed 0: Phase II process exited with code 3 "
@@ -560,16 +588,8 @@ def test_scored_retrain_is_byte_identical_to_serial(tmp_path, monkeypatch, histo
         plus_bytes(plus, serial, tmp_path / "s")
 
 
-def test_noise_rate_train_error_is_sent_with_phase1_epochs(tmp_path, monkeypatch):
-    # the stop rule reads the train error in this process; the scorer takes it over
-    score, log = cli._score, tmp_path / "scored.txt"
-
-    def logged_score(collector, view, net_spec, epoch):
-        with open(log, "a") as fh:  # written by the children
-            fh.write(f"{epoch[0]} {epoch[4] is not None}\n")
-        return score(collector, view, net_spec, epoch)
-
-    monkeypatch.setattr(cli, "_score", logged_score)
+def test_noise_rate_run_is_byte_identical_to_serial(tmp_path):
+    # the stop rule reads the train error in this process; the scorer evaluates it again
     cfg = tiny_config(method="prestopping_plus", heuristic="noise_rate", tau=0.3,
                       epochs=12, spread=0.2)
     train_ds, val_view, test_view = cli.build_dataset(cfg, 0)
@@ -585,8 +605,6 @@ def test_noise_rate_train_error_is_sent_with_phase1_epochs(tmp_path, monkeypatch
     assert scored_result.checkpoint.epoch == result.checkpoint.epoch < cfg.epochs
     assert plus_bytes(scored_plus, scored, tmp_path / "c") == \
         plus_bytes(plus, serial, tmp_path / "s")
-    sent = sorted(set(log.read_text().splitlines()))
-    assert sent == ["phase1 True", "phase2 False", "plus False"]
 
 
 def test_parent_makes_no_evaluation_during_the_retrain(tmp_path, monkeypatch):
@@ -630,7 +648,7 @@ def test_scorer_death_names_seed_and_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_send_to_a_dead_child_names_seed_and_exit_code():
     child = cli._ForkedChild(0, "scorer process")
-    child.start(lambda inbox: os._exit(3), inbox=True)
+    child.start(lambda hand_over, inbox: os._exit(3))
     while multiprocessing.active_children():
         time.sleep(0.01)
     with pytest.raises(RuntimeError) as err:
@@ -642,7 +660,7 @@ def test_send_to_a_dead_child_names_seed_and_exit_code():
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe capacity is fixed here")
 def test_sends_do_not_wait_for_a_busy_child():
     child = cli._ForkedChild(0, "scorer process")
-    child.start(lambda inbox: time.sleep(60), inbox=True)
+    child.start(lambda hand_over, inbox: time.sleep(60))
     t0 = time.perf_counter()
     for _ in range(8):
         child.send(np.zeros(11_000))  # about one desk-scale parameter vector
