@@ -33,7 +33,7 @@ import time
 import configparser
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -111,7 +111,7 @@ class ExperimentConfig:
             bad("heuristic", f"must be one of {HEURISTICS}, got {self.heuristic!r}")
         if self.data_csv is not None:
             try:
-                full = data.load_csv(self.data_csv)
+                full = _read_csv(self.data_csv)
             except OSError as exc:
                 bad("data_csv", f"cannot read {self.data_csv}: {exc.strerror or exc}")
             except ValueError as exc:  # names the file and the line
@@ -128,8 +128,8 @@ class ExperimentConfig:
                 bad("per_class", "need at least 1 sample per class")
             if self.dim < 1:
                 bad("dim", "need at least 1 feature dimension")
-            if self.spread < 0:
-                bad("spread", "must be non-negative")
+            if not 0 <= self.spread < np.inf:
+                bad("spread", f"must be non-negative and finite, got {self.spread}")
             total = self.n_classes * self.per_class
         if self.validation_size + self.test_size >= total:
             bad("validation_size", f"validation {self.validation_size} + test "
@@ -189,8 +189,9 @@ class ExperimentConfig:
 
 
 def load_config_file(path) -> dict:
-    """Flat key = value file with sections; keys are globally unique."""
-    cp = configparser.ConfigParser()
+    """Flat key = value file with sections; keys are globally unique, values are
+    literal (no % interpolation), and [DEFAULT] is an ordinary section."""
+    cp = configparser.ConfigParser(interpolation=None, default_section=None)
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -228,10 +229,22 @@ def build_config(config_path, overrides: dict) -> ExperimentConfig:
 
 # ----- single-seed execution -----
 
+@functools.lru_cache(maxsize=1)
+def _parsed_csv(path: str, mtime_ns: int, size: int) -> data.NoisyDataset:
+    return data.load_csv(path)
+
+
+def _read_csv(path) -> data.NoisyDataset:
+    """data.load_csv(path), cached until the file changes: validate and every seed
+    share one parse, which pool workers inherit as they fork after validate."""
+    st = os.stat(path)
+    return _parsed_csv(str(path), st.st_mtime_ns, st.st_size)
+
+
 def build_dataset(cfg: ExperimentConfig, seed: int):
     """(train dataset, validation view, test view) for one seed."""
     if cfg.data_csv is not None:
-        full = data.load_csv(cfg.data_csv)
+        full = _read_csv(cfg.data_csv)
     else:
         full = data.synth_gaussian(cfg.n_classes, cfg.per_class, cfg.dim, cfg.spread,
                                    seed=rng.derive_seed(seed, "data"))
@@ -409,7 +422,7 @@ def _epoch(ctx: engine.EpochContext) -> tuple:
             ctx.memorized)
 
 
-def _scored(collector: metrics.MetricsCollector, view, net_spec, epochs):
+def _scored(collector: metrics.MetricsCollector, net_spec, epochs):
     """At low priority, feed collector, a fresh one, each _epoch of epochs.
 
     Returns its rows, its histogram and the phase of the epoch that captured
@@ -420,14 +433,14 @@ def _scored(collector: metrics.MetricsCollector, view, net_spec, epochs):
     captured = None
     for phase, number, lr, validation_error, params, memorized in epochs:
         state = nn.NetworkState(net_spec, params, np.zeros_like(params), number)
-        collector(engine.EpochContext(phase, number, state, None, memorized, lr, view,
+        collector(engine.EpochContext(phase, number, state, None, memorized, lr,
                                       validation_error))
         if captured is None and collector.histogram is not None:
             captured = phase
     return collector.rows, collector.histogram, captured
 
 
-def _score_epochs(hand_over, inbox, view, net_spec, collector):
+def _score_epochs(hand_over, inbox, net_spec, collector):
     """Scorer body: _scored on one _epoch per inbox message, until EOF."""
     def received():
         while True:
@@ -435,7 +448,7 @@ def _score_epochs(hand_over, inbox, view, net_spec, collector):
                 yield inbox.recv()
             except EOFError:
                 return
-    return _scored(collector, view, net_spec, received())
+    return _scored(collector, net_spec, received())
 
 
 def _phase2_body(hand_over, inbox, ckpt, view, opt, seed, collector):
@@ -444,7 +457,7 @@ def _phase2_body(hand_over, inbox, ckpt, view, opt, seed, collector):
     kept = []
     hand_over(engine.phase2_train(ckpt, view, opt, seed,
                                   observer=lambda ctx: kept.append(_epoch(ctx))))
-    return _scored(collector, view, ckpt.state.spec, kept)
+    return _scored(collector, ckpt.state.spec, kept)
 
 
 def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
@@ -476,7 +489,7 @@ def _train_one(cfg: ExperimentConfig, seed: int, train_ds, val_view, collector):
             scorer.send(_epoch(ctx))
 
         try:
-            scorer.start(_score_epochs, view, net, fresh)
+            scorer.start(_score_epochs, net, fresh)
             ckpt = engine.phase1_train(
                 view, heur, net, opt, cfg.q, seed, send,
                 on_checkpoint=lambda c: phase2.start(_phase2_body, c, view, opt, seed, fresh))
@@ -558,11 +571,6 @@ def run_single(cfg: ExperimentConfig, seed: int) -> metrics.RunSummary:
     return summary
 
 
-def _seed_job(cfg_dict: dict, seed: int) -> dict:
-    # process-pool entry point; must stay module-level picklable
-    return run_single(ExperimentConfig(**cfg_dict), seed).to_dict()
-
-
 def _write_aggregate(out, summaries, failures) -> dict:
     """Write <out>/summary.json: the runs, their groups and the failures; returns it."""
     aggregate = metrics.summarize(summaries) if summaries else {"runs": [], "groups": []}
@@ -576,27 +584,22 @@ def execute_run(cfg: ExperimentConfig):
     """All seeds of one configuration; failures are isolated per seed.
 
     Returns (summaries, failures) and writes <out>/summary.json covering them.
+    Each seed's outcome is its RunSummary; anything else is its failure.
     """
-    summaries, failures = [], []
+    outcomes = []
     if min(cfg.jobs, len(cfg.seeds)) > 1:
-        cfg_dict = asdict(cfg)
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [(seed, pool.submit(_seed_job, cfg_dict, seed))
-                       for seed in cfg.seeds]
-            for seed, fut in futures:
-                exc = fut.exception()
-                if exc is None:
-                    summaries.append(metrics.RunSummary.from_dict(fut.result()))
-                else:
-                    failures.append({"seed": seed,
-                                     "error": f"{type(exc).__name__}: {exc}"})
+            futures = [pool.submit(run_single, cfg, seed) for seed in cfg.seeds]
+            outcomes = [fut.exception() or fut.result() for fut in futures]
     else:
         for seed in cfg.seeds:
             try:
-                summaries.append(run_single(cfg, seed))
+                outcomes.append(run_single(cfg, seed))
             except Exception as exc:
-                failures.append({"seed": seed,
-                                 "error": f"{type(exc).__name__}: {exc}"})
+                outcomes.append(exc)
+    summaries = [o for o in outcomes if isinstance(o, metrics.RunSummary)]
+    failures = [{"seed": seed, "error": f"{type(o).__name__}: {o}"}
+                for seed, o in zip(cfg.seeds, outcomes) if not isinstance(o, metrics.RunSummary)]
     for s in summaries:
         stop = "-" if s.stop_epoch is None else str(s.stop_epoch)
         print(f"{s.method} {cfg.noise_dir} q={s.q} seed={s.seed}: "

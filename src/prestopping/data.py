@@ -107,8 +107,8 @@ def synth_gaussian(n_classes: int, per_class: int, dim: int, spread: float,
     """Gaussian blobs: class centers on the unit sphere, isotropic spread around them."""
     if n_classes < 2 or per_class < 1 or dim < 1:
         raise ValueError("need n_classes >= 2, per_class >= 1, dim >= 1")
-    if spread < 0:
-        raise ValueError(f"spread must be non-negative, got {spread}")
+    if not 0 <= spread < np.inf:
+        raise ValueError(f"spread must be non-negative and finite, got {spread}")
     g = np.random.default_rng(seed)
     centers = g.normal(size=(n_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -241,6 +241,10 @@ def load_csv(path, n_classes: int | None = None) -> NoisyDataset:
     if not feats:
         raise ValueError(f"{path}: no data rows")
     features = np.array(feats, dtype=np.float64)
+    rows, cols = np.nonzero(~np.isfinite(features))
+    if len(rows):
+        raise ValueError(f"{path}: line {linenos[rows[0]]}: feature "
+                         f"{features[rows[0], cols[0]]} is not finite")
     noisy = np.array(noisy, dtype=np.int64)
     true = np.array(true, dtype=np.int64)
     k = int(max(noisy.max(), true.max())) + 1 if n_classes is None else int(n_classes)

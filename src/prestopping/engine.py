@@ -14,7 +14,6 @@ instrumentation layer through the observer callback.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -57,24 +56,14 @@ class Checkpoint:
 
 @dataclass
 class EpochContext:
-    """Observer payload at each epoch end; state and histories are live references.
-
-    train_error is the state's error on view's labels, evaluated on first
-    read and then cached, so an epoch nobody asks it of costs no evaluation;
-    read it before the run trains the next epoch.
-    """
+    """Observer payload at each epoch end; state and histories are live references."""
     phase: str
     epoch: int
     state: nn.NetworkState
     histories: Optional[PredictionHistory]
     memorized: np.ndarray  # (n,) bool maximal safe set under the epoch-end histories
     lr: float
-    view: DataView  # the training view
     validation_error: Optional[float] = None
-
-    @functools.cached_property
-    def train_error(self) -> float:
-        return nn.evaluate_error(self.view.features, self.view.labels, self.state)
 
 
 @dataclass
@@ -188,7 +177,7 @@ def run_epochs(phase: str, view: DataView, state, histories: PredictionHistory, 
         val_err = None if validation is None else \
             nn.evaluate_error(validation.features, validation.labels, state)
         ctx = EpochContext(phase, epoch, state, histories, memorized,
-                           config.lr_at(epoch), view, val_err)
+                           config.lr_at(epoch), val_err)
         if observer is not None:
             observer(ctx)
         yield ctx
@@ -216,7 +205,7 @@ def phase1_train(view: DataView, heuristic: StopHeuristic, net_spec: nn.NetworkS
             trigger = ctx.validation_error
             taken = is_improvement(trigger, best.trigger_value if best else None)
         else:
-            trigger = ctx.train_error
+            trigger = nn.evaluate_error(view.features, view.labels, state)
             taken = trigger <= heuristic.tau
         if taken:
             best = Checkpoint(state.copy(), histories.copy(), ctx.epoch, trigger)
@@ -226,7 +215,7 @@ def phase1_train(view: DataView, heuristic: StopHeuristic, net_spec: nn.NetworkS
                 return best
     if by_validation:
         return best
-    raise StopPointNotReached(ctx.train_error, heuristic.tau, config.total_epochs)
+    raise StopPointNotReached(trigger, heuristic.tau, config.total_epochs)
 
 
 def run_default(view: DataView, net_spec: nn.NetworkSpec, config: nn.OptimizerConfig,

@@ -166,7 +166,12 @@ class PredictionHistory:
         if len(raw) < 13:
             raise ValueError(f"{path}: truncated header ({len(raw)} bytes)")
         n, q = struct.unpack_from("<II", raw, 5)
-        hist = cls(n, q, n_classes)
+        if len(raw) < 13 + n:  # a length byte per sample; checked before allocating
+            raise ValueError(f"{path}: truncated: {n} samples in {len(raw) - 13} body bytes")
+        try:
+            hist = cls(n, q, n_classes)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad header: {exc}") from None
         off = 13
         for i in range(n):
             if off >= len(raw) or off + 1 + raw[off] > len(raw):

@@ -49,7 +49,8 @@ def snapshot_epoch(ctx: EpochContext, train_ds: NoisyDataset,
     clean = train_ds.noisy_labels == train_ds.true_labels
     true_count = int(np.count_nonzero(mask & clean))
     size = int(np.count_nonzero(mask))
-    train_error = ctx.train_error  # the larger set first, as the scratch buffers grow to it
+    # the larger set first, as the scratch buffers grow to it
+    train_error = nn.evaluate_error(train_ds.features, train_ds.noisy_labels, ctx.state)
     test_error = nn.evaluate_error(test_view.features, test_view.labels, ctx.state)
     # the safe set's precision is the memorization precision mp
     return EpochMetrics(ctx.epoch, train_error, ctx.validation_error, test_error,
@@ -106,8 +107,9 @@ class MetricsCollector:
         self.histogram: Optional[LossHistogram] = None
 
     def __call__(self, ctx: EpochContext) -> None:
-        self.rows.append(snapshot_epoch(ctx, self.train_ds, self.test_view))
-        if self.histogram is None and (1.0 - ctx.train_error) > 0.5:
+        row = snapshot_epoch(ctx, self.train_ds, self.test_view)
+        self.rows.append(row)
+        if self.histogram is None and (1.0 - row.train_error) > 0.5:
             self.histogram = loss_histogram(self.train_ds, ctx.state, ctx.epoch)
 
     @property
@@ -198,9 +200,6 @@ class RunSummary:
     stop_epoch: Optional[int]
     wall_seconds: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunSummary":
         if not isinstance(d, dict):
@@ -236,7 +235,7 @@ def summarize(runs: list[RunSummary]) -> dict:
             "mean_best_test_error": float(errs.mean()),
             "se_best_test_error": se,
         })
-    return {"runs": [r.to_dict() for r in runs], "groups": grouped}
+    return {"runs": [asdict(r) for r in runs], "groups": grouped}
 
 
 def write_atomic(path, write: Callable) -> None:

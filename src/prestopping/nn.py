@@ -55,8 +55,8 @@ class OptimizerConfig:
     decay_factor: float = 5.0
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < np.inf:
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size <= 0:
@@ -67,8 +67,8 @@ class OptimizerConfig:
         object.__setattr__(self, "decay_points", pts)
         if any(not 0.0 < p < 1.0 for p in pts) or list(pts) != sorted(set(pts)):
             raise ValueError(f"decay_points must be strictly increasing in (0, 1), got {pts}")
-        if self.decay_factor < 1.0:
-            raise ValueError(f"decay_factor must be at least 1, got {self.decay_factor}")
+        if not 1.0 <= self.decay_factor < np.inf:
+            raise ValueError(f"decay_factor must be finite and >= 1, got {self.decay_factor}")
 
     def lr_at(self, epoch: int) -> float:
         """LR for a 1-indexed epoch on the global schedule clock."""

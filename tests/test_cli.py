@@ -45,6 +45,20 @@ def test_flag_beats_file_beats_default(tmp_path):
     assert cfg.epochs == 60           # untouched default
 
 
+def test_config_file_values_are_literal(tmp_path):
+    # [DEFAULT] is an ordinary section, alone or beside others, and % interpolates nothing
+    alone, beside, percent = tmp_path / "alone", tmp_path / "beside", tmp_path / "runs_50%"
+    for text, out in [(f"[DEFAULT]\nq = 5\nout = {alone}\n", alone),
+                      (f"[DEFAULT]\nq = 5\n[method]\nmethod = default\n"
+                       f"[run]\nout = {beside}\n", beside),
+                      (f"[method]\nq = 5\n[run]\nout = {percent}\n", percent)]:
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        flags = tiny_flags("unused", method="default", seeds="0", epochs=1)[:-2]  # no --out
+        assert cli.main(["run", "--config", str(cfg_file)] + flags) == 0, text
+        assert metrics.read_summary_json(out / "summary.json")["runs"][0]["q"] == 5, text
+
+
 def test_unknown_key_is_named(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("[method]\nwhatever = 3\n")
@@ -76,11 +90,12 @@ def test_shipped_default_config_is_valid():
 def test_config_error_exit_code(tmp_path, capsys):
     # each bad value must surface as a config error naming its key, not as
     # failed runs
-    small, wide, malformed = (tmp_path / name for name in ("small.csv", "wide.csv",
-                                                            "malformed.csv"))
+    small, wide, malformed, nonfinite = (tmp_path / name for name in (
+        "small.csv", "wide.csv", "malformed.csv", "nonfinite.csv"))
     data.write_csv(data.synth_gaussian(4, 25, 4, spread=0.4, seed=5), small)
     wide.write_text("".join(f"0.5,{k % 300}\n" for k in range(1800)))  # 300 classes
     malformed.write_text("0.5,1.5,0\n0.5,1\n")
+    nonfinite.write_text("".join(f"{k / 7},{k % 3}\n" for k in range(99)) + "nan,1\n")
     for flags, key in [
         (["--method", "prestopping", "--heuristic", "noise_rate", "--noise", "none"], "tau"),
         (["--q", "300"], "q"),
@@ -95,6 +110,15 @@ def test_config_error_exit_code(tmp_path, capsys):
         (["--data_csv", str(small)], "validation_size"),
         (["--data_csv", str(wide)], "data_csv"),
         (["--data_csv", str(malformed)], "data_csv"),
+        (["--data_csv", str(nonfinite), "--validation_size", "10", "--test_size", "10"],
+         "data_csv"),
+        # non-finite numbers fail every check they meet
+        (["--lr", "nan"], "lr"),
+        (["--lr", "inf"], "lr"),
+        (["--decay_factor", "nan"], "decay_factor"),
+        (["--decay_factor", "inf"], "decay_factor"),
+        (["--spread", "nan"], "spread"),
+        (["--spread", "inf"], "spread"),
     ]:
         rc = cli.main(["run"] + flags + ["--out", str(tmp_path)])
         assert rc == 2, flags
@@ -225,6 +249,21 @@ def test_csv_dataset_input(tmp_path):
     rows = metrics.read_metrics_csv(
         tmp_path / "out" / "prestopping" / "pair_0.3" / "seed0" / "metrics.csv")
     assert rows  # ran end to end off the file
+
+
+def test_csv_is_parsed_once_per_invocation(tmp_path, monkeypatch, capsys):
+    csv_path, calls, load = tmp_path / "blobs.csv", [], data.load_csv
+    data.write_csv(data.synth_gaussian(3, 40, 4, spread=0.4, seed=5), csv_path)
+    monkeypatch.setattr(data, "load_csv", lambda path: calls.append(path) or load(path))
+    flags = tiny_flags(tmp_path / "out", data_csv=str(csv_path), method="default",
+                       seeds="0,1,2", epochs=1)
+    assert cli.main(["run"] + flags) == 0
+    assert len(calls) == 1  # validate's parse serves every seed
+    # a file rewritten before the next invocation is read again: now it is too small
+    data.write_csv(data.synth_gaussian(3, 10, 4, spread=0.4, seed=5), csv_path)
+    assert cli.main(["run"] + flags) == 2
+    assert len(calls) == 2
+    assert "config error: validation_size:" in capsys.readouterr().err
 
 
 def test_missing_csv_is_config_error():
@@ -512,7 +551,7 @@ def test_phase2_failure_after_the_handover_fails_the_seed(tmp_path, monkeypatch,
                                                           failure):
     scored, retrain, retrained = cli._scored, refurbish.run_prestopping_plus, []
 
-    def failing_phase2_scoring(collector, view, net_spec, epochs):
+    def failing_phase2_scoring(collector, net_spec, epochs):
         def checked():  # only the Phase II child scores phase2 epochs, after its handover
             for epoch in epochs:
                 if epoch[0] == "phase2":
@@ -520,7 +559,7 @@ def test_phase2_failure_after_the_handover_fails_the_seed(tmp_path, monkeypatch,
                         os._exit(3)
                     raise ValueError("Phase II scoring broke")
                 yield epoch
-        return scored(collector, view, net_spec, checked())
+        return scored(collector, net_spec, checked())
 
     def counted_retrain(*args, **kwargs):
         retrained.append(None)

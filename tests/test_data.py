@@ -43,6 +43,9 @@ def test_synth_rejects_bad_params():
         data.synth_gaussian(1, 10, 4, 0.1, 0)
     with pytest.raises(ValueError):
         data.synth_gaussian(3, 10, 4, -0.1, 0)
+    for spread in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="spread"):
+            data.synth_gaussian(3, 10, 4, spread, 0)
 
 
 # ----- transition matrices -----
@@ -228,6 +231,12 @@ def test_csv_errors_name_lines(tmp_path):
     badlabel.write_text("0.5,1.5,2\n0.5,1.5,7\n")
     with pytest.raises(ValueError, match="line 2.*7"):
         data.load_csv(badlabel, n_classes=4)
+
+    for cell in ("nan", "-inf"):
+        nonfinite = tmp_path / "nonfinite.csv"
+        nonfinite.write_text(f"0.5,1.5,2\n0.5,{cell},0\n")
+        with pytest.raises(ValueError, match=f"nonfinite.csv: line 2: feature {cell}"):
+            data.load_csv(nonfinite)
 
 
 def test_csv_documented_header_names_the_label_columns(tmp_path):

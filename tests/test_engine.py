@@ -99,7 +99,8 @@ def test_noise_rate_stop_is_first_qualifying_epoch():
     errors = []
     ckpt = engine.phase1_train(view, engine.StopHeuristic("noise_rate", tau=0.5),
                                SMALL_SPEC, small_config(epochs=30), q=3, seed=2,
-                               observer=lambda ctx: errors.append(ctx.train_error))
+                               observer=lambda ctx: errors.append(
+                                   nn.evaluate_error(view.features, view.labels, ctx.state)))
     qualifying = [e for e, err in enumerate(errors, start=1) if err <= 0.5]
     assert ckpt.epoch == qualifying[0]
     assert len(errors) == ckpt.epoch  # heuristic broke the loop right there

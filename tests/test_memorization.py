@@ -289,3 +289,14 @@ def test_sidecar_rejects_corruption(tmp_path):
             mem.PredictionHistory.load(tmp_path / name, 3)
     with pytest.raises(ValueError):
         mem.PredictionHistory.load(path, 2)  # stored label 2 exceeds declared k=2
+
+
+def test_sidecar_header_errors_name_the_file(tmp_path):
+    # headers no history can have, and a sample count far beyond the body,
+    # which must fail before buffers for that many samples are allocated
+    for n, q, body in ((3, 0, bytes(3)), (0, 2, b""), (3, 300, bytes(3)),
+                       (2**32 - 1, 2, b"")):
+        path = tmp_path / f"n{n}_q{q}.psth"
+        path.write_bytes(mem.HISTORY_MAGIC + struct.pack("<II", n, q) + body)
+        with pytest.raises(ValueError, match=path.name):
+            mem.PredictionHistory.load(path, 3)

@@ -25,7 +25,7 @@ def test_snapshot_counts_add_up():
     hist.record_batch(np.arange(train.n), g.integers(0, 3, size=train.n))
     state = nn.init_state(nn.NetworkSpec((4, 6, 3)), rng.stream(1, "init"))
     mask = hist.memorized_mask(train.noisy_labels)
-    ctx = engine.EpochContext("phase1", 4, state, hist, mask.copy(), 0.1, train.train_view())
+    ctx = engine.EpochContext("phase1", 4, state, hist, mask.copy(), 0.1)
     row = metrics.snapshot_epoch(ctx, train, test)
     assert row.train_error == nn.evaluate_error(train.features, train.noisy_labels, state)
     clean = train.noisy_labels == train.true_labels

@@ -52,6 +52,11 @@ def test_optimizer_config_validation():
         nn.OptimizerConfig(decay_points=(0.0, 0.5))
     with pytest.raises(ValueError, match="^decay_factor"):
         nn.OptimizerConfig(decay_factor=0.5)
+    for value in (float("nan"), float("inf")):  # each message starts with its field
+        with pytest.raises(ValueError, match="^base_lr"):
+            nn.OptimizerConfig(base_lr=value)
+        with pytest.raises(ValueError, match="^decay_factor"):
+            nn.OptimizerConfig(decay_factor=value)
 
 
 def test_lr_schedule_values():
