@@ -61,18 +61,6 @@ def _floats(s: str) -> tuple:
     return tuple(float(x) for x in s.replace(" ", "").split(",") if x)
 
 
-# every key appears in exactly one config-file section and doubles as a flag
-CONVERTERS = {
-    "data_csv": str, "n_classes": int, "per_class": int, "dim": int,
-    "spread": float, "validation_size": int, "test_size": int,
-    "noise": str, "tau": float,
-    "hidden": _ints, "lr": float, "momentum": float, "batch_size": int,
-    "epochs": int, "decay_points": _floats, "decay_factor": float,
-    "method": str, "heuristic": str, "q": int, "epsilon": float,
-    "seeds": _ints, "jobs": int, "out": str,
-}
-
-
 @dataclass
 class ExperimentConfig:
     data_csv: Optional[str] = None
@@ -84,18 +72,18 @@ class ExperimentConfig:
     test_size: int = 1000
     noise: str = "none"
     tau: Optional[float] = None
-    hidden: tuple = (128, 64)
+    hidden: tuple[int, ...] = (128, 64)
     lr: float = 0.1
     momentum: float = 0.9
     batch_size: int = 128
     epochs: int = 60
-    decay_points: tuple = (0.5, 0.75)
+    decay_points: tuple[float, ...] = (0.5, 0.75)
     decay_factor: float = 5.0
     method: str = "prestopping"
     heuristic: str = "validation"
     q: int = 10
     epsilon: float = 0.05
-    seeds: tuple = (0, 1, 2)
+    seeds: tuple[int, ...] = (0, 1, 2)
     jobs: int = 1
     out: str = "runs"
 
@@ -109,6 +97,17 @@ class ExperimentConfig:
             bad("noise", f"must be one of {NOISES}, got {self.noise!r}")
         if self.heuristic not in HEURISTICS:
             bad("heuristic", f"must be one of {HEURISTICS}, got {self.heuristic!r}")
+        # the synthetic keys are checked even when data_csv replaces them
+        if not 2 <= self.n_classes <= memorization.MAX_CLASSES:
+            bad("n_classes", f"must lie in [2, {memorization.MAX_CLASSES}], "
+                f"got {self.n_classes}")
+        if self.per_class < 1:
+            bad("per_class", "need at least 1 sample per class")
+        if self.dim < 1:
+            bad("dim", "need at least 1 feature dimension")
+        if not 0 <= self.spread < np.inf:
+            bad("spread", f"must be non-negative and finite, got {self.spread}")
+        total = self.n_classes * self.per_class
         if self.data_csv is not None:
             try:
                 full = _read_csv(self.data_csv)
@@ -120,17 +119,6 @@ class ExperimentConfig:
                 bad("data_csv", f"{self.data_csv}: {full.n_classes} classes, at most "
                     f"{memorization.MAX_CLASSES} supported")
             total = full.n
-        else:
-            if not 2 <= self.n_classes <= memorization.MAX_CLASSES:
-                bad("n_classes", f"must lie in [2, {memorization.MAX_CLASSES}], "
-                    f"got {self.n_classes}")
-            if self.per_class < 1:
-                bad("per_class", "need at least 1 sample per class")
-            if self.dim < 1:
-                bad("dim", "need at least 1 feature dimension")
-            if not 0 <= self.spread < np.inf:
-                bad("spread", f"must be non-negative and finite, got {self.spread}")
-            total = self.n_classes * self.per_class
         if self.validation_size + self.test_size >= total:
             bad("validation_size", f"validation {self.validation_size} + test "
                 f"{self.test_size} leave no training data out of {total}")
@@ -186,6 +174,12 @@ class ExperimentConfig:
 
     def run_dir(self, seed: int) -> Path:
         return Path(self.out) / self.method / self.noise_dir / f"seed{seed}"
+
+
+# every key appears in exactly one config-file section and doubles as a flag;
+# its annotation picks the parser, Optional[X] parsing as X
+CONVERTERS = metrics.field_table(ExperimentConfig, {
+    int: int, float: float, str: str, tuple[int, ...]: _ints, tuple[float, ...]: _floats})
 
 
 def load_config_file(path) -> dict:
@@ -587,8 +581,8 @@ def execute_run(cfg: ExperimentConfig):
     Each seed's outcome is its RunSummary; anything else is its failure.
     """
     outcomes = []
-    if min(cfg.jobs, len(cfg.seeds)) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if (workers := min(cfg.jobs, len(cfg.seeds))) > 1:  # all forked at the first submit
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_single, cfg, seed) for seed in cfg.seeds]
             outcomes = [fut.exception() or fut.result() for fut in futures]
     else:

@@ -106,13 +106,6 @@ class PredictionHistory:
         counts = self.label_counts(np.array([index]))[0]
         return float(counts[label]) / float(fill)
 
-    def probabilities(self, index: int) -> np.ndarray:
-        """Full label-frequency vector for one sample (sums to 1)."""
-        if self._fill[index] == 0:
-            raise ValueError(f"sample {index} has an empty history")
-        counts = self.label_counts(np.array([index]))[0]
-        return counts / float(self._fill[index])
-
     def is_memorized(self, index: int, noisy_label: int) -> bool:
         """Most frequent history label equals the training label (ties: smallest)."""
         return bool(self.memorized_mask(np.array([noisy_label]), np.array([index]))[0])

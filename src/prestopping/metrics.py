@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, asdict
-from typing import Callable, Optional
+from typing import Callable, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -20,9 +20,15 @@ from .data import DataView, NoisyDataset
 from .engine import EpochContext
 from .memorization import mp_mr
 
-CSV_FIELDS = ("epoch", "train_error", "validation_error", "test_error", "mp", "mr",
-              "safe_set_size", "memorized_true_count", "memorized_false_count",
-              "safe_set_precision", "lr", "phase")
+
+def field_table(cls, table: dict, optional=lambda entry: entry) -> dict:
+    """Field -> table[X] in declaration order for each field of the dataclass cls
+    annotated X, optional(table[X]) for Optional[X]; any other X is a KeyError."""
+    out = {}
+    for name, tp in get_type_hints(cls).items():
+        args = get_args(tp)  # Optional[X] is Union[X, None]
+        out[name] = optional(table[args[0]]) if type(None) in args else table[tp]
+    return out
 
 
 @dataclass
@@ -39,6 +45,12 @@ class EpochMetrics:
     safe_set_precision: float
     lr: float
     phase: str
+
+
+# metrics.csv column -> cell parser; an empty Optional cell reads as None
+_CELL_PARSERS = field_table(EpochMetrics, {int: int, float: float, str: str},
+                            optional=lambda parse: lambda cell: parse(cell) if cell else None)
+CSV_FIELDS = tuple(_CELL_PARSERS)
 
 
 def snapshot_epoch(ctx: EpochContext, train_ds: NoisyDataset,
@@ -134,8 +146,7 @@ def write_metrics_csv(rows: list[EpochMetrics], path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(CSV_FIELDS) + "\n")
         for r in rows:
-            d = asdict(r)
-            fh.write(",".join(_fmt(d[f]) for f in CSV_FIELDS) + "\n")
+            fh.write(",".join(_fmt(getattr(r, f)) for f in CSV_FIELDS) + "\n")
 
 
 def read_metrics_csv(path) -> list[EpochMetrics]:
@@ -152,20 +163,13 @@ def read_metrics_csv(path) -> list[EpochMetrics]:
             if len(cells) != len(CSV_FIELDS):
                 raise ValueError(f"{path}: line {lineno}: expected "
                                  f"{len(CSV_FIELDS)} cells, got {len(cells)}")
-            rows.append(EpochMetrics(
-                epoch=int(cells[0]),
-                train_error=float(cells[1]),
-                validation_error=float(cells[2]) if cells[2] else None,
-                test_error=float(cells[3]),
-                mp=float(cells[4]),
-                mr=float(cells[5]),
-                safe_set_size=int(cells[6]),
-                memorized_true_count=int(cells[7]),
-                memorized_false_count=int(cells[8]),
-                safe_set_precision=float(cells[9]),
-                lr=float(cells[10]),
-                phase=cells[11],
-            ))
+            values = {}
+            for (name, parse), cell in zip(_CELL_PARSERS.items(), cells):
+                try:
+                    values[name] = parse(cell)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {name}: {exc}") from None
+            rows.append(EpochMetrics(**values))
     return rows
 
 
@@ -180,13 +184,6 @@ def write_histogram_csv(hist: LossHistogram, path) -> None:
 
 
 # ----- run summaries -----
-
-# RunSummary field -> the types its JSON value may have; a bool is never a number
-SUMMARY_TYPES = {"method": (str,), "heuristic": (str, type(None)), "noise": (str,),
-                 "tau": (int, float), "q": (int,), "seed": (int,),
-                 "best_test_error": (int, float), "stop_epoch": (int, type(None)),
-                 "wall_seconds": (int, float)}
-
 
 @dataclass
 class RunSummary:
@@ -207,11 +204,16 @@ class RunSummary:
         missing = [k for k in cls.__dataclass_fields__ if k not in d]
         if missing:
             raise ValueError(f"run entry lacks {', '.join(missing)}")
-        for key, types in SUMMARY_TYPES.items():
+        for key, types in _JSON_TYPES.items():
             if isinstance(d[key], bool) or not isinstance(d[key], types):
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
                 raise ValueError(f"{key} must be {names}, got {d[key]!r}")
         return cls(**{k: d[k] for k in cls.__dataclass_fields__})
+
+
+# RunSummary field -> the types its JSON value may have; a bool is never a number
+_JSON_TYPES = field_table(RunSummary, {str: (str,), int: (int,), float: (int, float)},
+                          optional=lambda types: types + (type(None),))
 
 
 def summarize(runs: list[RunSummary]) -> dict:
@@ -220,21 +222,18 @@ def summarize(runs: list[RunSummary]) -> dict:
     Groups preserve (method, heuristic, noise, tau, q). Standard error is the
     sample standard deviation over sqrt(n), defined as 0 when n = 1.
     """
+    group_keys = ("method", "heuristic", "noise", "tau", "q")
     groups = {}
     for r in runs:
-        groups.setdefault((r.method, r.heuristic, r.noise, r.tau, r.q), []).append(r)
+        groups.setdefault(tuple(getattr(r, k) for k in group_keys), []).append(r)
     grouped = []
     for key in sorted(groups, key=lambda k: tuple(str(p) for p in k)):
-        method, heuristic, noise, tau, q = key
         errs = np.array([r.best_test_error for r in groups[key]])
         n = len(errs)
         se = float(errs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        grouped.append({
-            "method": method, "heuristic": heuristic, "noise": noise,
-            "tau": tau, "q": q, "n_runs": n,
-            "mean_best_test_error": float(errs.mean()),
-            "se_best_test_error": se,
-        })
+        grouped.append({**dict(zip(group_keys, key)), "n_runs": n,
+                        "mean_best_test_error": float(errs.mean()),
+                        "se_best_test_error": se})
     return {"runs": [asdict(r) for r in runs], "groups": grouped}
 
 

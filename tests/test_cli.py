@@ -1,5 +1,6 @@
 """Command-line runner: config handling, exit codes, layout, determinism."""
 
+import dataclasses
 import fcntl
 import json
 import multiprocessing
@@ -119,10 +120,43 @@ def test_config_error_exit_code(tmp_path, capsys):
         (["--decay_factor", "inf"], "decay_factor"),
         (["--spread", "nan"], "spread"),
         (["--spread", "inf"], "spread"),
+        # the synthetic keys are checked even when a CSV replaces the generator
+        *[(["--data_csv", str(small), "--validation_size", "10", "--test_size", "10",
+            f"--{key}", value], key)
+          for key, value in [("n_classes", "999"), ("per_class", "-5"), ("dim", "0"),
+                             ("spread", "nan")]],
     ]:
         rc = cli.main(["run"] + flags + ["--out", str(tmp_path)])
         assert rc == 2, flags
         assert f"config error: {key}:" in capsys.readouterr().err, flags
+
+
+def test_every_config_field_is_a_key_and_a_flag(tmp_path):
+    # each default, written as a config file or a flag holds it, parses back to
+    # itself with the same types, tuple elements included
+    keys = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert list(cli.CONVERTERS) == keys
+    default = cli.ExperimentConfig()
+    text = {key: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            for key in keys if (v := getattr(default, key)) is not None}
+    assert text["hidden"] == "128,64" and set(keys) - set(text) == {"data_csv", "tau"}
+    cfg_file = tmp_path / "all.cfg"
+    cfg_file.write_text("[all]\n" + "".join(f"{k} = {v}\n" for k, v in text.items()))
+    assert cli.load_config_file(cfg_file) == text
+    flags = {**text, "data_csv": "d.csv", "tau": "0.3"}
+    args = cli.build_parser().parse_args(
+        ["run"] + [arg for key, value in flags.items() for arg in (f"--{key}", value)])
+    assert {key: getattr(args, key) for key in keys} == flags
+    for cfg in (cli.build_config(cfg_file, {}), cli.build_config(None, text)):
+        assert cfg == default
+        for key in text:
+            value, want = getattr(cfg, key), getattr(default, key)
+            assert type(value) is type(want), key
+            if isinstance(want, tuple):
+                assert [type(x) for x in value] == [type(x) for x in want], key
+    # Optional[X] parses as X
+    assert cli.CONVERTERS["tau"]("0.3") == 0.3
+    assert cli.CONVERTERS["data_csv"]("d.csv") == "d.csv"
 
 
 # ----- run subcommand -----
@@ -220,6 +254,21 @@ def test_parallel_matches_serial(tmp_path, method):
     assert cli.main(["run"] + tiny_flags(b, seeds="0,1", jobs=2, method=method)) == 0
     for seed in (0, 1):
         assert seed_dir_contents(a, method, seed) == seed_dir_contents(b, method, seed)
+
+
+def test_pool_never_outnumbers_the_seeds(tmp_path, monkeypatch):
+    # a pool forks all its workers at the first submit, busy or idle
+    sizes = []
+    real = cli.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    flags = tiny_flags(tmp_path, seeds="0,1", jobs=8, method="default", epochs=2)
+    assert cli.main(["run"] + flags) == 0
+    assert sizes == [2]
 
 
 def test_failing_seed_does_not_stop_others(tmp_path, monkeypatch, capsys):

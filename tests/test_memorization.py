@@ -62,8 +62,6 @@ def test_empty_history_not_memorized():
     assert not h.is_memorized(0, 0)
     with pytest.raises(ValueError):
         h.label_probability(0, 0)
-    with pytest.raises(ValueError):
-        h.probabilities(1)
 
 
 def test_partial_history_uses_current_length():
@@ -72,7 +70,6 @@ def test_partial_history_uses_current_length():
         h.record(0, label)
     assert h.history_length(0) == 3
     assert h.label_probability(0, 1) == pytest.approx(2 / 3)
-    assert h.probabilities(0).sum() == pytest.approx(1.0)
 
 
 def test_ring_evicts_oldest():

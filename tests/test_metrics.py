@@ -1,5 +1,6 @@
 """Instrumentation: epoch snapshots, loss histograms, summaries, file round-trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -136,6 +137,30 @@ def test_metrics_csv_rejects_bad_header(tmp_path):
     path.write_text("epoch,loss\n1,0.5\n")
     with pytest.raises(ValueError):
         metrics.read_metrics_csv(path)
+
+
+def test_metrics_csv_bad_cell_names_file_line_and_column(tmp_path):
+    path = tmp_path / "metrics.csv"
+    metrics.write_metrics_csv(make_rows(), path)
+    header, first, second = path.read_text().splitlines()
+    for lines, where in [([header, first, "x" + second[1:]], "line 3: epoch:"),
+                         ([header, first.replace(",0.45,", ",,"), second],
+                          "line 2: test_error:")]:
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            metrics.read_metrics_csv(path)
+        assert str(info.value).startswith(f"{path}: {where} "), str(info.value)
+
+
+def test_field_table_fails_on_an_annotation_it_cannot_map():
+    @dataclasses.dataclass
+    class Row:
+        n: int
+        tags: list
+
+    assert metrics.field_table(Row, {int: int, list: list}) == {"n": int, "tags": list}
+    with pytest.raises(KeyError):
+        metrics.field_table(Row, {int: int})
 
 
 def test_histogram_csv(tmp_path):
