@@ -53,12 +53,13 @@ class ConfigError(ValueError):
     """Invalid configuration; message starts with the offending key."""
 
 
+# list-valued keys: comma-separated cells, a blank cell is an error, a blank value is ()
 def _ints(s: str) -> tuple:
-    return tuple(int(x) for x in s.replace(" ", "").split(",") if x)
+    return tuple(int(x) for x in s.split(",")) if s.strip() else ()
 
 
 def _floats(s: str) -> tuple:
-    return tuple(float(x) for x in s.replace(" ", "").split(",") if x)
+    return tuple(float(x) for x in s.split(",")) if s.strip() else ()
 
 
 @dataclass
@@ -245,8 +246,7 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
     if cfg.noise != "none" and full.is_noise_free:
         build = data.build_pair_matrix if cfg.noise == "pair" else data.build_symmetric_matrix
         full = data.inject_noise(full, build(full.n_classes, cfg.tau),
-                                 seed=rng.derive_seed(seed, "noise"),
-                                 kind=cfg.noise, tau=cfg.tau)
+                                 seed=rng.derive_seed(seed, "noise"))
     spec = data.SplitSpec(cfg.validation_size, cfg.test_size,
                           seed=rng.derive_seed(seed, "split"))
     return data.split(full, spec)
@@ -426,7 +426,7 @@ def _scored(collector: metrics.MetricsCollector, net_spec, epochs):
     os.nice(SCORING_NICENESS)
     captured = None
     for phase, number, lr, validation_error, params, memorized in epochs:
-        state = nn.NetworkState(net_spec, params, np.zeros_like(params), number)
+        state = nn.NetworkState(net_spec, params, np.zeros_like(params))
         collector(engine.EpochContext(phase, number, state, None, memorized, lr,
                                       validation_error))
         if captured is None and collector.histogram is not None:

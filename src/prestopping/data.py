@@ -7,7 +7,7 @@ are clean by protocol (split happens before noise injection).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class NoisyDataset:
     noisy_labels: np.ndarray  # (n,) int64
     true_labels: np.ndarray   # (n,) int64
     n_classes: int
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
@@ -114,9 +113,7 @@ def synth_gaussian(n_classes: int, per_class: int, dim: int, spread: float,
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     labels = np.repeat(np.arange(n_classes), per_class)
     feats = centers[labels] + spread * g.normal(size=(len(labels), dim))
-    return NoisyDataset(feats, labels, labels.copy(), n_classes,
-                        provenance={"source": "synth_gaussian", "noise": "none",
-                                    "tau": 0.0, "seed": int(seed)})
+    return NoisyDataset(feats, labels, labels.copy(), n_classes)
 
 
 # ----- noise -----
@@ -146,8 +143,7 @@ def _check_tau(tau: float):
         raise ValueError(f"noise rate must lie in [0, 1), got {tau}")
 
 
-def inject_noise(dataset: NoisyDataset, matrix: TransitionMatrix, seed: int,
-                 kind: str = "custom", tau: float | None = None) -> NoisyDataset:
+def inject_noise(dataset: NoisyDataset, matrix: TransitionMatrix, seed: int) -> NoisyDataset:
     """Draw each noisy label from the matrix row of its true label."""
     if not dataset.is_noise_free:
         raise ValueError("dataset already carries injected noise")
@@ -160,11 +156,7 @@ def inject_noise(dataset: NoisyDataset, matrix: TransitionMatrix, seed: int,
         idx = np.nonzero(dataset.true_labels == c)[0]
         if len(idx):
             noisy[idx] = g.choice(dataset.n_classes, size=len(idx), p=matrix.entries[c])
-    prov = dict(dataset.provenance)
-    prov.update({"noise": kind, "tau": float(tau) if tau is not None else None,
-                 "noise_seed": int(seed)})
-    return NoisyDataset(dataset.features, noisy, dataset.true_labels,
-                        dataset.n_classes, prov)
+    return NoisyDataset(dataset.features, noisy, dataset.true_labels, dataset.n_classes)
 
 
 # ----- partitioning -----
@@ -179,10 +171,8 @@ def split(dataset: NoisyDataset, spec: SplitSpec):
     val_idx = np.sort(perm[:spec.validation_size])
     test_idx = np.sort(perm[spec.validation_size:spec.validation_size + spec.test_size])
     train_idx = np.sort(perm[spec.validation_size + spec.test_size:])
-    prov = dict(dataset.provenance)
-    prov["split_seed"] = int(spec.seed)
     train = NoisyDataset(dataset.features[train_idx], dataset.noisy_labels[train_idx],
-                         dataset.true_labels[train_idx], dataset.n_classes, prov)
+                         dataset.true_labels[train_idx], dataset.n_classes)
     val = (DataView(dataset.features[val_idx], dataset.true_labels[val_idx],
                     dataset.n_classes) if spec.validation_size else None)
     test = (DataView(dataset.features[test_idx], dataset.true_labels[test_idx],
@@ -195,7 +185,8 @@ def split(dataset: NoisyDataset, spec: SplitSpec):
 # an optional first line names them feature_0..feature_{d-1},noisy_label[,true_label]
 
 def write_csv(dataset: NoisyDataset, path) -> None:
-    """Full-precision text dump; load_csv(write_csv(ds)) reproduces ds exactly."""
+    """Full-precision text dump; load_csv(path, n_classes=dataset.n_classes)
+    reproduces the dataset exactly."""
     with open(path, "w") as fh:
         for i in range(dataset.n):
             cells = [repr(float(v)) for v in dataset.features[i]]
@@ -253,8 +244,7 @@ def load_csv(path, n_classes: int | None = None) -> NoisyDataset:
         if len(bad):
             raise ValueError(f"{path}: line {linenos[bad[0]]}: {name} label "
                              f"{arr[bad[0]]} out of range for {k} classes")
-    return NoisyDataset(features, noisy, true, max(k, 2),
-                        provenance={"source": str(path), "noise": "file", "tau": None})
+    return NoisyDataset(features, noisy, true, max(k, 2))
 
 
 def _header_labels(cells, path, lineno) -> int:

@@ -74,21 +74,12 @@ class StepRecord:
     member_mask: np.ndarray
     n_used: int
     lr: float
-    weights_before: list
-    biases_before: list
-    vel_w_before: list
-    vel_b_before: list
-    weights_after: list
-    biases_after: list
+    before: nn.NetworkState  # copies of the state around the update
+    after: nn.NetworkState
 
 
 class StopPointNotReached(RuntimeError):
     """noise_rate heuristic never saw train_error <= tau within the epoch budget."""
-
-    def __init__(self, final_train_error: float, tau: float, epochs: int):
-        self.final_train_error = final_train_error
-        super().__init__(f"training error never reached tau={tau} within {epochs} "
-                         f"epochs (final {final_train_error:.4f})")
 
 
 Observer = Callable[[EpochContext], None]
@@ -144,14 +135,11 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
             nn.sgd_step(state, grad, config, epoch)
             updated = True
         if step_hook is not None:
-            after = state.copy()
             used = np.ones(hi - lo, dtype=bool) if mask is None else mask.copy()
             step_hook(StepRecord(epoch, idx.copy(), used, n_used, config.lr_at(epoch),
-                                 before.weights, before.biases, before.vel_w, before.vel_b,
-                                 after.weights, after.biases))
+                                 before, state.copy()))
         lo = hi
     histories.record_batch(order, preds)
-    state.epoch = epoch
     return updated
 
 
@@ -215,7 +203,8 @@ def phase1_train(view: DataView, heuristic: StopHeuristic, net_spec: nn.NetworkS
                 return best
     if by_validation:
         return best
-    raise StopPointNotReached(trigger, heuristic.tau, config.total_epochs)
+    raise StopPointNotReached(f"training error never reached tau={heuristic.tau} within "
+                              f"{config.total_epochs} epochs (final {trigger:.4f})")
 
 
 def run_default(view: DataView, net_spec: nn.NetworkSpec, config: nn.OptimizerConfig,

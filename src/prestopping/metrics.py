@@ -74,9 +74,9 @@ def snapshot_epoch(ctx: EpochContext, train_ds: NoisyDataset,
 class LossHistogram:
     """Normalized per-group loss densities over shared log-spaced bins."""
     epoch: int
-    edges: np.ndarray          # (bins + 1,)
-    clean_counts: np.ndarray   # (bins,) raw counts, correctly-labeled samples
-    noisy_counts: np.ndarray   # (bins,) raw counts, mislabeled samples
+    edges: np.ndarray          # (HISTOGRAM_BINS + 1,)
+    clean_counts: np.ndarray   # (HISTOGRAM_BINS,) raw counts, correctly-labeled samples
+    noisy_counts: np.ndarray   # (HISTOGRAM_BINS,) raw counts, mislabeled samples
 
     @property
     def clean_density(self) -> np.ndarray:
@@ -89,16 +89,20 @@ class LossHistogram:
         return self.noisy_counts / total if total else np.zeros_like(self.noisy_counts, float)
 
 
-def loss_histogram(train_ds: NoisyDataset, state, epoch: int, bins: int = 50,
-                   lo: float = 1e-6, hi: float = 20.0) -> LossHistogram:
+HISTOGRAM_BINS = 50
+LOSS_LO, LOSS_HI = 1e-6, 20.0
+
+
+def loss_histogram(train_ds: NoisyDataset, state, epoch: int) -> LossHistogram:
     """Training-loss histograms split by label correctness.
 
     Losses are taken against the noisy labels (the ones trained on) and
-    clipped into [lo, hi], so each group's counts sum to its group size.
+    clipped into [LOSS_LO, LOSS_HI], so each group's counts sum to its group
+    size; the HISTOGRAM_BINS bins are log-spaced over that range.
     """
     losses = nn.per_sample_losses(train_ds.features, train_ds.noisy_labels, state)
-    losses = np.clip(losses, lo, hi)
-    edges = np.logspace(math.log10(lo), math.log10(hi), bins + 1)
+    losses = np.clip(losses, LOSS_LO, LOSS_HI)
+    edges = np.logspace(math.log10(LOSS_LO), math.log10(LOSS_HI), HISTOGRAM_BINS + 1)
     clean = train_ds.noisy_labels == train_ds.true_labels
     clean_counts, _ = np.histogram(losses[clean], bins=edges)
     noisy_counts, _ = np.histogram(losses[~clean], bins=edges)

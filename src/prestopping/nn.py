@@ -121,14 +121,13 @@ class NetworkState:
     vectors it is built from as its own; it does not copy them.
     """
 
-    def __init__(self, spec: NetworkSpec, params, velocity, epoch: int = 0):
+    def __init__(self, spec: NetworkSpec, params, velocity):
         count = _n_params(spec)
         for name, vec in (("params", params), ("velocity", velocity)):
             if np.shape(vec) != (count,):
                 raise ValueError(f"{name} must have shape ({count},) for {spec.layer_sizes}, "
                                  f"got {np.shape(vec)}")
         self.spec = spec
-        self.epoch = epoch
         self.params = np.asarray(params, dtype=np.float64)
         self.velocity = np.asarray(velocity, dtype=np.float64)
         # per layer (fan_in, fan_out) and (fan_out,); the momentum views match
@@ -140,7 +139,7 @@ class NetworkState:
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the views; pickled views would be loose copies
-        return NetworkState, (self.spec, self.params.copy(), self.velocity.copy(), self.epoch)
+        return NetworkState, (self.spec, self.params.copy(), self.velocity.copy())
 
     @property
     def n_layers(self) -> int:
@@ -343,7 +342,7 @@ def save_network(state: NetworkState, path) -> None:
         fh.write(np.asarray(state.velocity, dtype="<f8").tobytes())
 
 
-def load_network(path, epoch: int = 0) -> NetworkState:
+def load_network(path) -> NetworkState:
     """Read a checkpoint written by save_network."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -364,4 +363,4 @@ def load_network(path, epoch: int = 0) -> NetworkState:
         raise ValueError(f"{path}: expected {16 * count} bytes of parameters and momentum "
                          f"after the header, got {len(raw) - off}")
     body = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=off)
-    return NetworkState(spec, body[:count].copy(), body[count:].copy(), epoch=epoch)
+    return NetworkState(spec, body[:count].copy(), body[count:].copy())

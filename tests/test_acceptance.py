@@ -144,7 +144,7 @@ def test_c03_memorization_oracles_exact():
 def small_noisy_problem(seed, n_per=150, tau=0.3):
     ds = data.synth_gaussian(3, n_per, 6, spread=0.35, seed=rng.derive_seed(seed, "data"))
     noisy = data.inject_noise(ds, data.build_pair_matrix(3, tau),
-                              seed=rng.derive_seed(seed, "noise"), kind="pair", tau=tau)
+                              seed=rng.derive_seed(seed, "noise"))
     return noisy.train_view(), noisy
 
 
@@ -169,11 +169,11 @@ def test_c04_phase2_updates_equal_masked_renormalized_oracle():
         assert np.array_equal(want_mask, rec.member_mask)
         assert rec.n_used == int(want_mask.sum())
         w, b, vw, vb, preds = straight_line_step(
-            rec.weights_before, rec.biases_before, rec.vel_w_before,
-            rec.vel_b_before, view.features[rec.indices], labels,
+            rec.before.weights, rec.before.biases, rec.before.vel_w,
+            rec.before.vel_b, view.features[rec.indices], labels,
             rec.member_mask, rec.n_used, rec.lr, cfg.momentum)
-        assert all(np.array_equal(x, y) for x, y in zip(w, rec.weights_after))
-        assert all(np.array_equal(x, y) for x, y in zip(b, rec.biases_after))
+        assert all(np.array_equal(x, y) for x, y in zip(w, rec.after.weights))
+        assert all(np.array_equal(x, y) for x, y in zip(b, rec.after.biases))
         for i, pred in zip(rec.indices, preds):
             logs[i].append(int(pred))
         checked += 1
@@ -318,8 +318,8 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
             w, b_, vw, vb, _ = straight_line_step(w, b_, vw, vb, view.features[idx],
                                                   view.labels[idx], mask, n_used,
                                                   cfg.lr_at(epoch), cfg.momentum)
-            for got, via_lib, via_oracle in ((rec.weights_after, state_b.weights, w),
-                                             (rec.biases_after, state_b.biases, b_)):
+            for got, via_lib, via_oracle in ((rec.after.weights, state_b.weights, w),
+                                             (rec.after.biases, state_b.biases, b_)):
                 assert all(np.array_equal(x, y) for x, y in zip(got, via_lib))
                 assert all(np.array_equal(x, y) for x, y in zip(got, via_oracle))
             steps += 1
@@ -378,7 +378,7 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
                                         want_labels[order], want_mask[order], 5,
                                         cfg.lr_at(1), cfg.momentum)
     assert all(np.array_equal(x, y) for x, y in zip(w + b_,
-                                                    rec.weights_after + rec.biases_after))
+                                                    rec.after.weights + rec.after.biases))
     print(f"ACCEPTANCE 09 PASS - empty-refurbishment collapse bitwise over "
           f"{steps} steps, disjointness enforced, mixed loss exact")
 

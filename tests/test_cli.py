@@ -104,6 +104,13 @@ def test_config_error_exit_code(tmp_path, capsys):
         (["--decay_points", "0.75,0.5"], "decay_points"),
         (["--decay_factor", "0.5"], "decay_factor"),
         (["--hidden", "8,0"], "hidden"),
+        # list-valued keys are comma-separated: a space is no separator, a blank
+        # cell is no value
+        (["--seeds", "0 1 2"], "seeds"),
+        (["--hidden", "12 8"], "hidden"),
+        (["--decay_points", "0.5 5"], "decay_points"),
+        (["--seeds", "0,,1"], "seeds"),
+        (["--hidden", "128,64,"], "hidden"),
         # predicted labels are stored as single bytes: 256 classes at most
         (["--method", "default", "--n_classes", "300", "--per_class", "3",
           "--validation_size", "10", "--test_size", "10"], "n_classes"),
@@ -154,6 +161,9 @@ def test_every_config_field_is_a_key_and_a_flag(tmp_path):
             assert type(value) is type(want), key
             if isinstance(want, tuple):
                 assert [type(x) for x in value] == [type(x) for x in want], key
+    # an empty list-valued key is the empty list: a constant LR, no hidden layer
+    cfg = cli.build_config(None, {"decay_points": "", "hidden": ""})
+    assert cfg.decay_points == () and cfg.hidden == ()
     # Optional[X] parses as X
     assert cli.CONVERTERS["tau"]("0.3") == 0.3
     assert cli.CONVERTERS["data_csv"]("d.csv") == "d.csv"
@@ -271,21 +281,34 @@ def test_pool_never_outnumbers_the_seeds(tmp_path, monkeypatch):
     assert sizes == [2]
 
 
-def test_failing_seed_does_not_stop_others(tmp_path, monkeypatch, capsys):
-    real = cli.run_single
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("failure", ["RuntimeError: boom",
+                                     "StopPointNotReached: training error never reached "
+                                     "tau=0.0 within 3 epochs (final 0.5000)"],
+                         ids=["RuntimeError", "StopPointNotReached"])
+def test_failing_seed_does_not_stop_others(tmp_path, monkeypatch, capsys, jobs, failure):
+    # under jobs=2 a seed's exception comes back from its pool worker by pickle;
+    # one that cannot would break the pool and fail the healthy seeds with it
+    real = cli.build_dataset
 
-    def flaky(cfg, seed):
-        if seed == 1:
+    def flaky(cfg, seed):  # forked pool workers inherit the patch
+        if seed != 1:
+            return real(cfg, seed)
+        if failure.startswith("RuntimeError"):
             raise RuntimeError("boom")
-        return real(cfg, seed)
+        # the library's own raise: conflicting labels never reach tau=0
+        view = data.DataView(np.zeros((8, 4)), np.array([0, 1] * 4), 3)
+        engine.phase1_train(view, engine.StopHeuristic("noise_rate", tau=0.0),
+                            nn.NetworkSpec((4, 3)), nn.OptimizerConfig(total_epochs=3),
+                            q=3, seed=0)
 
-    monkeypatch.setattr(cli, "run_single", flaky)
-    rc = cli.main(["run"] + tiny_flags(tmp_path, seeds="0,1,2"))
+    monkeypatch.setattr(cli, "build_dataset", flaky)
+    rc = cli.main(["run"] + tiny_flags(tmp_path, seeds="0,1,2", jobs=jobs))
     assert rc == 1
     summary = metrics.read_summary_json(tmp_path / "summary.json")
     assert [r["seed"] for r in summary["runs"]] == [0, 2]
-    assert summary["failures"][0]["seed"] == 1
-    assert "boom" in capsys.readouterr().err
+    assert summary["failures"] == [{"seed": 1, "error": failure}]
+    assert f"seed 1 failed: {failure}\n" in capsys.readouterr().err
 
 
 def test_csv_dataset_input(tmp_path):
@@ -367,6 +390,14 @@ def test_grid_q_rejects_repeated_values(tmp_path, capsys):
     assert rc == 2
     assert "config error: grid:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # nothing trained
+
+
+def test_grid_q_rejects_a_space_separated_grid(tmp_path, capsys):
+    # "1 5" is no grid of two points, and no q=15 either
+    rc = cli.main(["grid-q"] + tiny_flags(tmp_path, seeds="0") + ["--grid", "1 5"])
+    assert rc == 2
+    assert "config error: grid:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_grid_q_rejects_default_method(capsys):
@@ -495,7 +526,6 @@ def run_bytes(result, collector, work) -> dict:
     out["histogram"] = hist.epoch, hist.edges.tobytes(), hist.clean_counts.tobytes(), \
         hist.noisy_counts.tobytes()
     out["checkpoint"] = result.checkpoint.epoch, result.checkpoint.trigger_value
-    out["final_epoch"] = result.final_state.epoch
     out["safe_set"] = result.safe_set.tobytes()
     h = result.histories
     out["histories"] = h.q, h._buf.tobytes(), h._fill.tobytes(), h._pos.tobytes()

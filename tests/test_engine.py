@@ -1,19 +1,19 @@
 """Two-phase trainer: stop heuristics, safe-set updates, exact step replay."""
 
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import flat_vector, straight_line_step, window_memorized
+from helpers import straight_line_step, window_memorized
 from prestopping import data, engine, memorization as mem, metrics, nn, refurbish, rng
 
 
 def toy_problem(n_per=30, k=3, d=4, tau=0.3, seed=5, spread=0.4):
     ds = data.synth_gaussian(k, n_per, d, spread=spread, seed=seed)
     if tau > 0:
-        ds = data.inject_noise(ds, data.build_symmetric_matrix(k, tau), seed=seed + 1,
-                               kind="symmetric", tau=tau)
+        ds = data.inject_noise(ds, data.build_symmetric_matrix(k, tau), seed=seed + 1)
     return ds
 
 
@@ -73,10 +73,7 @@ def test_train_epoch_records_each_sample_once_with_its_pre_update_prediction():
         assert np.array_equal(np.sort(seen), np.arange(view.n))
         assert all(hist.history_length(i) == epoch for i in range(view.n))
         for rec in records:
-            before = nn.NetworkState(SMALL_SPEC,
-                                     flat_vector(rec.weights_before, rec.biases_before),
-                                     flat_vector(rec.vel_w_before, rec.vel_b_before))
-            want = np.argmax(nn.forward(view.features[rec.indices], before), axis=1)
+            want = np.argmax(nn.forward(view.features[rec.indices], rec.before), axis=1)
             got = [hist.history_of(i)[-1] for i in rec.indices]
             assert np.array_equal(got, want), (epoch, rec.indices)
 
@@ -111,9 +108,14 @@ def test_noise_rate_unreachable_raises():
     feats = np.zeros((8, 4))
     labels = np.array([0, 1] * 4)
     view = data.DataView(feats, labels, 3)
-    with pytest.raises(engine.StopPointNotReached):
+    with pytest.raises(engine.StopPointNotReached) as info:
         engine.phase1_train(view, engine.StopHeuristic("noise_rate", tau=0.0),
                             SMALL_SPEC, small_config(epochs=3), q=3, seed=0)
+    message = "training error never reached tau=0.0 within 3 epochs (final 0.5000)"
+    assert str(info.value) == message
+    # a pool worker hands its exception back to the parent by pickle
+    back = pickle.loads(pickle.dumps(info.value))
+    assert type(back) is engine.StopPointNotReached and str(back) == message
 
 
 def test_validation_checkpoint_is_first_minimum():
@@ -276,10 +278,10 @@ def test_phase2_steps_match_straight_line_oracle_bitwise():
         assert np.array_equal(rec.member_mask, want_mask)
         assert rec.n_used == want_mask.sum()
         new_w, new_b, _, _, preds = straight_line_step(
-            rec.weights_before, rec.biases_before, rec.vel_w_before, rec.vel_b_before,
+            rec.before.weights, rec.before.biases, rec.before.vel_w, rec.before.vel_b,
             view.features[rec.indices], labels, rec.member_mask, rec.n_used,
             rec.lr, momentum)
-        for a, b in zip(new_w + new_b, rec.weights_after + rec.biases_after):
+        for a, b in zip(new_w + new_b, rec.after.weights + rec.after.biases):
             assert np.array_equal(a, b)
         for i, p in zip(rec.indices, preds):
             logs[i].append(int(p))
@@ -353,4 +355,3 @@ def test_run_prestopping_composes():
                                  SMALL_SPEC, small_config(epochs=6), q=3, seed=31)
     assert res.checkpoint.epoch <= 6
     assert res.safe_set.shape == (view.n,) and res.safe_set.dtype == bool
-    assert res.final_state.epoch == 6

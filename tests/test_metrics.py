@@ -11,8 +11,7 @@ from prestopping import data, engine, memorization as mem, metrics, nn, rng
 
 def scored_problem(tau=0.3, seed=3, n_per=40):
     ds = data.synth_gaussian(3, n_per, 4, spread=0.4, seed=seed)
-    full = data.inject_noise(ds, data.build_symmetric_matrix(3, tau), seed=seed + 1,
-                             kind="symmetric", tau=tau)
+    full = data.inject_noise(ds, data.build_symmetric_matrix(3, tau), seed=seed + 1)
     train, _, test = data.split(full, data.SplitSpec(0, 30, seed=seed + 2))
     return train, test
 

@@ -176,8 +176,7 @@ def test_step_with_empty_union_skips_update():
 
 def plus_problem(seed=33):
     ds = data.synth_gaussian(3, 40, 4, spread=0.4, seed=seed)
-    ds = data.inject_noise(ds, data.build_pair_matrix(3, 0.3), seed=seed + 1,
-                           kind="pair", tau=0.3)
+    ds = data.inject_noise(ds, data.build_pair_matrix(3, 0.3), seed=seed + 1)
     return ds
 
 
