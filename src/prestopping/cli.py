@@ -45,7 +45,7 @@ METHODS = ("default", "prestopping", "prestopping_plus")
 NOISES = ("none", "symmetric", "pair")
 HEURISTICS = ("validation", "noise_rate")
 Q_GRID = (1, 5, 10, 15, 20)
-# nn.OptimizerConfig / nn.NetworkSpec field -> config key
+# library field -> config key, where the two names differ
 LIBRARY_KEYS = {"base_lr": "lr", "total_epochs": "epochs", "layer_sizes": "hidden"}
 
 
@@ -89,6 +89,8 @@ class ExperimentConfig:
     out: str = "runs"
 
     def validate(self) -> None:
+        """Check what only the CLI knows, and build the library objects for the rest:
+        their messages start with the field's name, which LIBRARY_KEYS maps to a key."""
         def bad(key, msg):
             raise ConfigError(f"{key}: {msg}")
 
@@ -98,10 +100,15 @@ class ExperimentConfig:
             bad("noise", f"must be one of {NOISES}, got {self.noise!r}")
         if self.heuristic not in HEURISTICS:
             bad("heuristic", f"must be one of {HEURISTICS}, got {self.heuristic!r}")
+        try:  # placeholder sizes: only the checked fields are known before the data
+            self.net_spec(1, 2)
+            self.optimizer()
+            memorization.PredictionHistory(1, self.q, self.n_classes)
+            refurbish.RefurbishConfig(self.epsilon, ())
+        except ValueError as exc:
+            field, _, msg = str(exc).partition(" ")
+            bad(LIBRARY_KEYS.get(field, field), msg)
         # the synthetic keys are checked even when data_csv replaces them
-        if not 2 <= self.n_classes <= memorization.MAX_CLASSES:
-            bad("n_classes", f"must lie in [2, {memorization.MAX_CLASSES}], "
-                f"got {self.n_classes}")
         if self.per_class < 1:
             bad("per_class", "need at least 1 sample per class")
         if self.dim < 1:
@@ -112,13 +119,11 @@ class ExperimentConfig:
         if self.data_csv is not None:
             try:
                 full = _read_csv(self.data_csv)
+                memorization.PredictionHistory(1, 1, full.n_classes)
             except OSError as exc:
                 bad("data_csv", f"cannot read {self.data_csv}: {exc.strerror or exc}")
-            except ValueError as exc:  # names the file and the line
+            except ValueError as exc:  # a parse error names the file and the line
                 bad("data_csv", str(exc))
-            if full.n_classes > memorization.MAX_CLASSES:
-                bad("data_csv", f"{self.data_csv}: {full.n_classes} classes, at most "
-                    f"{memorization.MAX_CLASSES} supported")
             total = full.n
         if self.validation_size + self.test_size >= total:
             bad("validation_size", f"validation {self.validation_size} + test "
@@ -136,17 +141,6 @@ class ExperimentConfig:
                 bad("tau", "noise_rate heuristic needs the noise rate")
             if self.heuristic == "validation" and self.validation_size < 1:
                 bad("validation_size", "validation heuristic needs a validation set")
-        try:
-            self.net_spec(1, 2)  # only the hidden widths are known before the data
-            self.optimizer()
-        except ValueError as exc:
-            # library messages start with the offending field's name
-            field, _, msg = str(exc).partition(" ")
-            bad(LIBRARY_KEYS.get(field, field), msg)
-        if not 1 <= self.q <= memorization.MAX_Q:
-            bad("q", f"history length must lie in [1, {memorization.MAX_Q}], got {self.q}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            bad("epsilon", f"must lie in [0, 1], got {self.epsilon}")
         if not self.seeds:
             bad("seeds", "need at least one seed")
         if any(s < 0 for s in self.seeds):
@@ -155,6 +149,9 @@ class ExperimentConfig:
             bad("seeds", f"duplicate seeds collide on output directories: {self.seeds}")
         if self.jobs < 1:
             bad("jobs", "must be positive")
+        existing = next(p for p in (Path(self.out), *Path(self.out).parents) if os.path.lexists(p))
+        if not existing.is_dir():
+            bad("out", f"{existing} is not a directory")
 
     def optimizer(self) -> nn.OptimizerConfig:
         return nn.OptimizerConfig(base_lr=self.lr, momentum=self.momentum,
@@ -187,6 +184,7 @@ def load_config_file(path) -> dict:
     """Flat key = value file with sections; keys are globally unique, values are
     literal (no % interpolation), and [DEFAULT] is an ordinary section."""
     cp = configparser.ConfigParser(interpolation=None, default_section=None)
+    cp.optionxform = str  # keys are case-sensitive
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -686,8 +684,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Noisy-label training experiments: standard SGD, two-phase "
                     "safe-set training, and its label-refurbishing extension.")
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run one configuration across its seeds")
-    grid_p = sub.add_parser("grid-q", help="sweep the prediction-history length q")
+    # flags are exact: --epo must not pass for --epochs
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
+    run_p = add("run", help="run one configuration across its seeds")
+    grid_p = add("grid-q", help="sweep the prediction-history length q")
     for p in (run_p, grid_p):
         p.add_argument("--config", metavar="PATH", help="key = value config file")
         for key in CONVERTERS:
@@ -695,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid_p.add_argument("--grid", metavar="Q,Q,...",
                         default=",".join(str(q) for q in Q_GRID),
                         help="history lengths to sweep (default %(default)s)")
-    sum_p = sub.add_parser("summarize", help="re-aggregate run summaries under a directory")
+    sum_p = add("summarize", help="re-aggregate run summaries under a directory")
     sum_p.add_argument("--dir", required=True, metavar="PATH")
     return parser
 

@@ -23,12 +23,12 @@ class PredictionHistory:
     """Fixed-capacity prediction ring buffers for n_samples samples."""
 
     def __init__(self, n_samples: int, q: int, n_classes: int):
-        if n_samples < 1 or q < 1:
-            raise ValueError(f"need n_samples >= 1 and q >= 1, got {n_samples}, {q}")
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+        if not 1 <= q <= MAX_Q:
+            raise ValueError(f"q must lie in [1, {MAX_Q}], got {q}")
         if not 2 <= n_classes <= MAX_CLASSES:
-            raise ValueError(f"n_classes must be in [2, {MAX_CLASSES}], got {n_classes}")
-        if q > MAX_Q:
-            raise ValueError(f"q must be at most {MAX_Q}, got {q}")
+            raise ValueError(f"n_classes must lie in [2, {MAX_CLASSES}], got {n_classes}")
         self.n_samples = int(n_samples)
         self.q = int(q)
         self.n_classes = int(n_classes)

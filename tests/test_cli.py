@@ -114,6 +114,15 @@ def test_config_error_exit_code(tmp_path, capsys):
         # predicted labels are stored as single bytes: 256 classes at most
         (["--method", "default", "--n_classes", "300", "--per_class", "3",
           "--validation_size", "10", "--test_size", "10"], "n_classes"),
+        # the library objects own these bounds; validate builds them before it
+        # sizes the partitions, so --n_classes 1 names n_classes, not validation_size
+        (["--n_classes", "1"], "n_classes"),
+        (["--n_classes", "257"], "n_classes"),
+        (["--q", "0"], "q"),
+        (["--q", "256"], "q"),
+        (["--epsilon", "-0.01"], "epsilon"),
+        (["--epsilon", "1.01"], "epsilon"),
+        (["--epsilon", "nan"], "epsilon"),
         # a CSV dataset is read before training: too few rows, too many classes, malformed
         (["--data_csv", str(small)], "validation_size"),
         (["--data_csv", str(wide)], "data_csv"),
@@ -136,6 +145,44 @@ def test_config_error_exit_code(tmp_path, capsys):
         rc = cli.main(["run"] + flags + ["--out", str(tmp_path)])
         assert rc == 2, flags
         assert f"config error: {key}:" in capsys.readouterr().err, flags
+
+
+def test_library_bounds_are_inclusive():
+    for key, value in [("q", "1"), ("q", "255"), ("n_classes", "2"), ("n_classes", "256"),
+                       ("epsilon", "0"), ("epsilon", "1")]:
+        assert getattr(cli.build_config(None, {key: value}), key) == float(value), key
+
+
+def test_out_must_name_a_directory(tmp_path, capsys):
+    # a file, or a path through one, fails before any seed trains
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for command in ("run", "grid-q"):
+        for out in (taken, taken / "sub"):
+            flags = tiny_flags("unused", seeds="0", epochs=2)[:-2] + ["--out", str(out)]
+            assert cli.main([command] + flags) == 2, (command, out)
+            assert "config error: out:" in capsys.readouterr().err, (command, out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_keys_and_flags_are_exact(tmp_path, capsys):
+    # configparser would lowercase Q to q, and argparse would take --epo for --epochs
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("[method]\nQ = 7\n")
+    assert cli.main(["run", "--config", str(cfg_file)]) == 2
+    assert "config error: Q: unknown key" in capsys.readouterr().err
+    out = tmp_path / "out"
+    short = ["--seeds", "0", "--epochs", "1", "--out", str(out)]
+    for argv, flag in [(["run", "--epo", "3"] + short, "--epo"),
+                       (["run", "--heur", "noise_rate"] + short, "--heur"),
+                       (["grid-q", "--val", "7", "--grid", "1"] + short, "--val"),
+                       (["summarize", "--dir", str(out), "--di", str(tmp_path)], "--di")]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, argv
+    assert not out.exists()
 
 
 def test_every_config_field_is_a_key_and_a_flag(tmp_path):
@@ -395,6 +442,14 @@ def test_grid_q_rejects_repeated_values(tmp_path, capsys):
 def test_grid_q_rejects_a_space_separated_grid(tmp_path, capsys):
     # "1 5" is no grid of two points, and no q=15 either
     rc = cli.main(["grid-q"] + tiny_flags(tmp_path, seeds="0") + ["--grid", "1 5"])
+    assert rc == 2
+    assert "config error: grid:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("grid", ["0,5", "5,256"])
+def test_grid_q_rejects_a_value_out_of_range(tmp_path, capsys, grid):
+    rc = cli.main(["grid-q"] + tiny_flags(tmp_path, seeds="0") + ["--grid", grid])
     assert rc == 2
     assert "config error: grid:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())

@@ -170,6 +170,16 @@ def test_mp_mr_matches_set_arithmetic_oracle():
 
 # ----- bulk state -----
 
+def test_constructor_messages_start_with_the_field():
+    # the CLI reports these under the config key of the same name
+    for args, field in [((0, 3, 3), "n_samples"), ((5, 0, 3), "q"),
+                        ((5, mem.MAX_Q + 1, 3), "q"), ((5, 3, 1), "n_classes"),
+                        ((5, 3, mem.MAX_CLASSES + 1), "n_classes")]:
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            mem.PredictionHistory(*args)
+    mem.PredictionHistory(1, mem.MAX_Q, mem.MAX_CLASSES)
+
+
 def test_record_batch_validation():
     h = mem.PredictionHistory(5, q=3, n_classes=3)
     with pytest.raises(ValueError):
