@@ -28,6 +28,7 @@ import multiprocessing
 import os
 import pickle
 import shutil
+import signal
 import sys
 import time
 import configparser
@@ -299,19 +300,46 @@ def _one_blas_thread():
 INBOX_BYTES = 1 << 20
 # niceness a child takes once it only scores, so that it yields the cores to training
 SCORING_NICENESS = 19
+PR_SET_PDEATHSIG = 1
+# this process's ends of the pipes of every running _ForkedChild, process-wide
+# because a fork copies every open descriptor: each forked child closes its
+# copies, so that it holds no end of another child's pipes
+_PARENT_ENDS: set = set()
 
 
-def _child_main(result_end, inbox, parent_end, body, args) -> None:
+def _die_with_parent() -> None:
+    """Have the kernel SIGKILL this forked process when its parent exits.
+
+    Best effort and Linux only, like F_SETPIPE_SZ. A parent that died
+    before the call took effect has already left this process to another
+    parent, so it exits at once. Without this, a CLI killed by a signal
+    would leave its children running, and pool workers writing run
+    directories.
+    """
+    with contextlib.suppress(AttributeError, OSError):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != multiprocessing.parent_process().pid:
+        os._exit(1)
+
+
+def _child_main(result_end, inbox, body, args) -> None:
     """Forked child: runs body(hand_over, inbox, *args) and sends (outcome, warnings)
     over result_end.
 
     outcome is body's return value or the exception it raised; the warnings
     it issued are re-issued by the parent. hand_over(value) sends value, and
     the warnings issued so far, before the outcome. inbox is the read end of
-    the pipe the parent's send() feeds; the child closes its copy of the write
-    end, parent_end, so the parent closing its own reads as EOF in the child.
+    the pipe the parent's send() feeds. The child closes its copies of
+    _PARENT_ENDS, its own inbox's write end among them, so the parent
+    closing its end reads as EOF here, and no other child's inbox waits on
+    this one.
     """
-    parent_end.close()
+    _die_with_parent()
+    for end in _PARENT_ENDS:
+        end.close()
+    _PARENT_ENDS.clear()
     with warnings.catch_warnings(record=True) as caught:
         def send(outcome):
             result_end.send((outcome, [(w.message, w.category, w.filename, w.lineno)
@@ -353,8 +381,9 @@ class _ForkedChild:
         fork = multiprocessing.get_context("fork")
         self._conn, result_end = fork.Pipe(duplex=False)
         reader, self._inbox = fork.Pipe(duplex=False)
+        _PARENT_ENDS.update((self._conn, self._inbox))
         self._proc = fork.Process(target=_child_main, name=f"{self.what} of seed {self.seed}",
-                                  args=(result_end, reader, self._inbox, body, args))
+                                  args=(result_end, reader, body, args))
         self._proc.start()
         # the child holds the only other ends: its death reads as EOF, and
         # sending to a dead child raises BrokenPipeError
@@ -379,6 +408,7 @@ class _ForkedChild:
             for end in (self._conn, self._inbox):
                 if end is not None:
                     end.close()
+                    _PARENT_ENDS.discard(end)
             self._proc = self._conn = self._inbox = None
 
     def handover(self):
@@ -389,6 +419,7 @@ class _ForkedChild:
         """Close the inbox, then wait for the child: body's return value, or its exception."""
         if self._inbox is not None:
             self._inbox.close()
+            _PARENT_ENDS.discard(self._inbox)
             self._inbox = None
         outcome = self._receive()
         self._proc.join()
@@ -580,7 +611,7 @@ def execute_run(cfg: ExperimentConfig):
     """
     outcomes = []
     if (workers := min(cfg.jobs, len(cfg.seeds))) > 1:  # all forked at the first submit
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_die_with_parent) as pool:
             futures = [pool.submit(run_single, cfg, seed) for seed in cfg.seeds]
             outcomes = [fut.exception() or fut.result() for fut in futures]
     else:

@@ -101,23 +101,37 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
                 labels=None, member=None, step_hook: Optional[StepHook] = None) -> bool:
     """One epoch of mini-batch SGD, recording every sample's forward prediction.
 
-    labels are the per-sample training labels (default: the view's). member,
-    an (n,) bool mask fixed for the epoch, restricts each batch's gradient to
-    its members and divides by their count; None trains on every sample.
-    Batches without members are only forward-passed. Features, labels and
-    member mask are gathered once in shuffled order, so each batch is a
-    slice. Each sample's prediction comes from its batch's forward pass,
-    before that batch's update, and all of them are recorded in one write
-    after the last batch: every sample is in exactly one batch, and nothing
-    reads the histories mid-epoch. Returns True when at least one batch
-    updated the parameters.
+    labels are the per-sample training labels (default: the view's), integers
+    in [0, n_classes). member, an (n,) bool mask fixed for the epoch,
+    restricts each batch's gradient to its members and divides by their
+    count; None trains on every sample. Both are checked once, with the
+    features' width, before anything trains. Batches without members are
+    only forward-passed. Features, labels and member mask are gathered once
+    in shuffled order, so each batch is a slice, and every batch step writes
+    into one nn._TrainKernel. Each sample's prediction comes from its batch's
+    forward pass, before that batch's update, and all of them are recorded
+    in one write after the last batch: every sample is in exactly one batch,
+    and nothing reads the histories mid-epoch. Returns True when at least
+    one batch updated the parameters.
     """
-    labels = view.labels if labels is None else labels
-    batches = _make_batches(view.n, config.batch_size, rng.stream(seed, "shuffle", epoch))
+    n = view.n
+    labels = np.asarray(view.labels if labels is None else labels)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be {n} integers, got {labels.dtype} of shape "
+                         f"{labels.shape}")
+    labels = nn._check_labels(labels, state.spec.n_classes)
+    if member is not None:
+        member = np.asarray(member)
+        if member.shape != (n,) or member.dtype != bool:
+            raise ValueError(f"member must be {n} bools, got {member.dtype} of shape "
+                             f"{member.shape}")
+    nn._check_features(view.features, state.spec)
+    batches = _make_batches(n, config.batch_size, rng.stream(seed, "shuffle", epoch))
     order = np.concatenate(batches)
     features, labels = view.features[order], labels[order]
     member = None if member is None else member[order]
-    preds = np.empty(view.n, dtype=np.intp)
+    kernel = nn._TrainKernel(state, min(config.batch_size, n), config.lr_at(epoch))
+    preds = np.empty(n, dtype=np.intp)
     updated = False
     lo = 0
     for idx in batches:
@@ -127,16 +141,17 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
         before = state.copy() if step_hook is not None else None
         if n_used > 0:
             _, grad, _, probs = nn.loss_grad_probs(features[lo:hi], labels[lo:hi], state,
-                                                   sample_mask=mask, denom=n_used)
+                                                   sample_mask=mask, denom=n_used,
+                                                   kernel=kernel)
         else:
             probs = nn.forward(features[lo:hi], state)
-        np.argmax(probs, axis=1, out=preds[lo:hi])
+        probs.argmax(axis=1, out=preds[lo:hi])  # the method skips np.argmax's dispatcher
         if n_used > 0:
-            nn.sgd_step(state, grad, config, epoch)
+            nn.sgd_step(state, grad, config, epoch, kernel=kernel)
             updated = True
         if step_hook is not None:
             used = np.ones(hi - lo, dtype=bool) if mask is None else mask.copy()
-            step_hook(StepRecord(epoch, idx.copy(), used, n_used, config.lr_at(epoch),
+            step_hook(StepRecord(epoch, idx.copy(), used, n_used, kernel.lr,
                                  before, state.copy()))
         lo = hi
     histories.record_batch(order, preds)

@@ -3,7 +3,8 @@
 All math is float64. The forward pass is pure; training mutates a
 NetworkState that is exclusively owned by one training run. Evaluation
 writes its layer outputs into per-thread scratch arrays and returns only
-fresh arrays; every matrix product keeps the operands and shape of a plain
+fresh arrays; a training epoch's steps write into the buffers of one
+_TrainKernel. Every matrix product keeps the operands and shape of a plain
 `a @ w`, so results are bitwise those of an allocating pass.
 """
 
@@ -162,7 +163,7 @@ def init_state(spec: NetworkSpec, rng: np.random.Generator) -> NetworkState:
 def _check_features(features: np.ndarray, spec: NetworkSpec) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"expected features of shape (n, {spec.input_dim}), got {x.shape}")
+        raise ValueError(f"features must have shape (n, {spec.input_dim}), got {x.shape}")
     return x
 
 
@@ -179,17 +180,11 @@ def _scratch(layer: int, n: int, width: int) -> np.ndarray:
     return buf[:n]
 
 
-def _layer_outputs(features, state: NetworkState, scratch: bool = False) -> list:
-    """Every layer's post-activation: [input, hidden..., logits].
-
-    With scratch, the outputs live in this thread's scratch arrays and are
-    overwritten by the next scratch pass; otherwise each one is a fresh array.
-    """
-    x = _check_features(features, state.spec)
+def _layer_outputs(x, state: NetworkState, outs) -> list:
+    """Every layer's post-activation [x, hidden..., logits]; layer l writes into outs[l]."""
     acts = [x]
     last = state.n_layers - 1
-    for layer, (w, b) in enumerate(zip(state.weights, state.biases)):
-        out = _scratch(layer, len(x), w.shape[1]) if scratch else None
+    for layer, (w, b, out) in enumerate(zip(state.weights, state.biases, outs)):
         z = np.matmul(acts[-1], w, out=out)
         z += b
         if layer < last:
@@ -198,21 +193,31 @@ def _layer_outputs(features, state: NetworkState, scratch: bool = False) -> list
     return acts
 
 
-def _softmax_ce(logits, labels=None):
+def _scratch_outputs(features, state: NetworkState) -> list:
+    """_layer_outputs into this thread's scratch arrays, which the next such pass overwrites."""
+    x = _check_features(features, state.spec)
+    return _layer_outputs(x, state, [_scratch(layer, len(x), w.shape[1])
+                                     for layer, w in enumerate(state.weights)])
+
+
+def _softmax_ce(logits, labels=None, m=None, s=None):
     """Overwrite logits with softmax probabilities; per-sample CE when labels given.
 
     The row max, shifted exponentials and row sums serve both results, so the
     cross-entropy is the log-sum-exp guarded lse(z) - z[y]. The row max is
     taken column by column: for few classes that is much faster than
-    max(axis=1), and both results are bitwise the same.
+    max(axis=1), and both results are bitwise the same. m and s, (n, 1)
+    arrays, receive the row max and row sums; by default they are fresh.
     """
-    m = logits[:, :1].copy()
+    if m is None:
+        m = np.empty((len(logits), 1))
+    np.copyto(m, logits[:, :1])
     for j in range(1, logits.shape[1]):
         np.maximum(m, logits[:, j:j + 1], out=m)
     picked = None if labels is None else logits[np.arange(len(labels)), labels]
     logits -= m
     np.exp(logits, out=logits)
-    s = logits.sum(axis=1, keepdims=True)
+    s = logits.sum(axis=1, keepdims=True, out=s)
     logits /= s
     if labels is None:
         return None
@@ -225,7 +230,7 @@ def forward(features, state: NetworkState) -> np.ndarray:
     Evaluation reuses this thread's internal scratch arrays; the result never
     aliases them.
     """
-    logits = _layer_outputs(features, state, scratch=True)[-1]
+    logits = _scratch_outputs(features, state)[-1]
     _softmax_ce(logits)
     return logits.copy()
 
@@ -238,79 +243,135 @@ def _check_labels(labels, k: int):
     return labels
 
 
-def _backprop(acts, delta, state: NetworkState) -> np.ndarray:
-    """Gradient from the output-layer delta (delta already carries loss scaling).
+class _TrainKernel:
+    """Buffers and LR of the batch steps on one state: train_epoch builds one per epoch.
 
-    Each layer's gradient is written into its views of one fresh flat vector
-    laid out like state.params; the products keep the operands and shapes of
-    a plain acts.T @ delta, so the values are bitwise those.
+    Each step writes its layer outputs, deltas, ReLU masks, row max and row
+    sums, its gradient and lr * velocity into arrays allocated here for
+    batches of up to `rows` rows; a shorter batch uses their leading rows.
+    The gradient and probabilities a step returns are overwritten by the
+    next step. Every product keeps the operands and shape of a plain a @ b,
+    so each value is bitwise that of an allocating pass. loss_grad_probs
+    called without a kernel builds a fresh one, with no LR, for its one step.
     """
-    grad = np.empty_like(state.params)
-    grad_w, grad_b = _layer_views(state.spec, grad)
-    for layer in reversed(range(state.n_layers)):
-        np.matmul(acts[layer].T, delta, out=grad_w[layer])
-        delta.sum(axis=0, out=grad_b[layer])
+
+    def __init__(self, state: NetworkState, rows: int, lr: float | None = None):
+        widths = state.spec.layer_sizes[1:]
+        self.lr = lr
+        self.grad = np.empty_like(state.params)
+        self.grad_w, self.grad_b = _layer_views(state.spec, self.grad)
+        self.weights_t = [w.T for w in state.weights]
+        self.update = np.empty_like(state.params)
+        self._full = ([np.empty((rows, w)) for w in widths],                   # layer outputs
+                      [np.empty((rows, w)) for w in widths],                   # deltas
+                      [np.empty((rows, w), dtype=bool) for w in widths[:-1]],  # ReLU masks
+                      np.empty((rows, 1)), np.empty((rows, 1)), np.arange(rows))
+        self._cut = {}
+
+    def rows(self, n: int) -> tuple:
+        """The buffers' first n rows: (outputs, deltas, masks, row max, row sums, row index)."""
+        cut = self._cut.get(n)
+        if cut is None:
+            outs, deltas, masks, m, s, index = self._full
+            cut = self._cut[n] = ([a[:n] for a in outs], [d[:n] for d in deltas],
+                                  [k[:n] for k in masks], m[:n], s[:n], index[:n])
+        return cut
+
+
+def _backprop(acts, deltas, masks, kernel: _TrainKernel) -> np.ndarray:
+    """Gradient from the output-layer delta, deltas[-1] (already carrying loss scaling).
+
+    Each layer's gradient is written into its views of kernel.grad, laid out
+    like state.params, and each hidden layer's delta into deltas; the products
+    keep the operands and shapes of plain acts.T @ delta and delta @ W.T, so
+    the values are bitwise those.
+    """
+    delta = deltas[-1]
+    for layer in reversed(range(len(acts))):
+        np.matmul(acts[layer].T, delta, out=kernel.grad_w[layer])
+        delta.sum(axis=0, out=kernel.grad_b[layer])
         if layer > 0:
             # acts[layer] > 0 is the ReLU mask of this layer's preactivation
-            delta = delta @ state.weights[layer].T
-            delta *= acts[layer] > 0.0
-    return grad
+            delta = np.matmul(delta, kernel.weights_t[layer], out=deltas[layer - 1])
+            delta *= np.greater(acts[layer], 0.0, out=masks[layer - 1])
+    return kernel.grad
 
 
-def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, denom=None):
+def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, denom=None,
+                    *, kernel: _TrainKernel | None = None):
     """Training-loop entry point: loss, gradient and forward probabilities.
 
     The loss is the cross-entropy summed over sample_mask members (every
     sample when no mask is given) and divided by denom, which defaults to the
-    batch size and must be given with a mask. Excluded samples contribute
-    exactly zero, which realizes training restricted to a sample subset.
-    Returns (loss, grad, per_sample_losses, probs); grad is a fresh flat
-    vector laid out like state.params.
+    batch size and must be given with a mask. sample_mask is a bool array.
+    Excluded samples contribute exactly zero, which realizes training
+    restricted to a sample subset. Returns (loss, grad, per_sample_losses,
+    probs); grad is a fresh flat vector laid out like state.params.
+
+    With train_epoch's kernel, the step writes into the kernel's buffers and
+    makes the same calls in the same order, but checks none of its inputs
+    (train_epoch checks them once per epoch) and computes no loss: it returns
+    (None, grad, None, probs), and the next step overwrites grad and probs.
     """
-    labels = _check_labels(labels, state.spec.n_classes)
-    n = len(labels)
-    if n == 0:
-        raise ValueError("cannot take a gradient over an empty batch")
-    if denom is None and sample_mask is None:
-        denom = n
-    if denom is None or denom <= 0:
-        raise ValueError(f"gradient needs a positive denom, got {denom}")
-    acts = _layer_outputs(features, state)
+    reference = kernel is None
+    if reference:
+        labels = _check_labels(labels, state.spec.n_classes)
+        n = len(labels)
+        if n == 0:
+            raise ValueError("cannot take a gradient over an empty batch")
+        if denom is None and sample_mask is None:
+            denom = n
+        if denom is None or denom <= 0:
+            raise ValueError(f"gradient needs a positive denom, got {denom}")
+        features = _check_features(features, state.spec)
+        if sample_mask is not None:
+            sample_mask = np.asarray(sample_mask)
+            if sample_mask.dtype != bool or sample_mask.shape != (n,):
+                raise ValueError(f"sample_mask must be a bool array of shape ({n},), "
+                                 f"got {sample_mask.dtype} of shape {sample_mask.shape}")
+        kernel = _TrainKernel(state, n)
+    outs, deltas, masks, m, s, rows = kernel.rows(len(labels))
+    acts = _layer_outputs(features, state, outs)
     probs = acts.pop()  # logits until _softmax_ce overwrites them
-    per_sample = _softmax_ce(probs, labels)
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
-    used = per_sample
+    per_sample = _softmax_ce(probs, labels if reference else None, m, s)
+    delta = deltas[-1]
+    np.copyto(delta, probs)
+    delta[rows, labels] -= 1.0
     if sample_mask is not None:
-        sample_mask = np.asarray(sample_mask)
-        if sample_mask.shape != (n,):
-            raise ValueError(f"sample_mask must have shape ({n},), got {sample_mask.shape}")
-        delta *= sample_mask.astype(np.float64)[:, None]
-        used = per_sample[sample_mask.astype(bool, copy=False)]
+        delta *= sample_mask[:, None]
     delta /= float(denom)
-    loss = float(used.sum()) / float(denom)
-    return loss, _backprop(acts, delta, state), per_sample, probs
+    grad = _backprop(acts, deltas, masks, kernel)
+    if not reference:
+        return None, grad, None, probs
+    used = per_sample if sample_mask is None else per_sample[sample_mask]
+    return float(used.sum()) / float(denom), grad, per_sample, probs
 
 
-def sgd_step(state: NetworkState, grad, config: OptimizerConfig, epoch: int) -> NetworkState:
+def sgd_step(state: NetworkState, grad, config: OptimizerConfig, epoch: int,
+             *, kernel: _TrainKernel | None = None) -> NetworkState:
     """v <- momentum*v + grad; params <- params - lr(epoch)*v. Mutates state.
 
     grad is a flat vector laid out like state.params, as loss_grad_probs returns it.
+    With train_epoch's kernel, lr(epoch) is the kernel's, taken once per epoch,
+    lr*v is written into its buffer, and grad's shape is not checked again.
     """
-    if np.shape(grad) != state.params.shape:
+    if kernel is None and np.shape(grad) != state.params.shape:
         raise ValueError(f"gradient shape {np.shape(grad)} != parameter shape "
                          f"{state.params.shape}")
     v = state.velocity
     v *= config.momentum
     v += grad
-    state.params -= config.lr_at(epoch) * v
+    if kernel is None:
+        state.params -= config.lr_at(epoch) * v
+    else:
+        state.params -= np.multiply(kernel.lr, v, out=kernel.update)
     return state
 
 
 def per_sample_losses(features, labels, state: NetworkState) -> np.ndarray:
     """Cross-entropy of each sample against the given labels; no gradients."""
     labels = _check_labels(labels, state.spec.n_classes)
-    return _softmax_ce(_layer_outputs(features, state, scratch=True)[-1], labels)
+    return _softmax_ce(_scratch_outputs(features, state)[-1], labels)
 
 
 def predict_labels(features, state: NetworkState) -> np.ndarray:

@@ -1,12 +1,17 @@
 """Command-line runner: config handling, exit codes, layout, determinism."""
 
+import contextlib
 import dataclasses
 import fcntl
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,9 +323,9 @@ def test_pool_never_outnumbers_the_seeds(tmp_path, monkeypatch):
     sizes = []
     real = cli.ProcessPoolExecutor
 
-    def recording_pool(max_workers):
+    def recording_pool(max_workers, **kwargs):
         sizes.append(max_workers)
-        return real(max_workers=min(max_workers, 2))
+        return real(max_workers=min(max_workers, 2), **kwargs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
     flags = tiny_flags(tmp_path, seeds="0,1", jobs=8, method="default", epochs=2)
@@ -706,6 +711,56 @@ def test_phase2_failure_after_the_handover_fails_the_seed(tmp_path, monkeypatch,
                         "without a result"}
     assert failed_seed(tmp_path, capsys, "prestopping_plus") == expected[failure]
     assert retrained == [None]  # the handover came first
+
+
+# ----- an invocation's processes end with it -----
+
+def session_members(sid) -> list:
+    """PIDs of the live processes in session sid (zombies are not live)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _, _, session = fh.read().rsplit(")", 1)[1].split()[:4]
+        except (OSError, ValueError):  # gone meanwhile, or not a process entry
+            continue
+        if int(session) == sid and state != "Z":
+            found.append(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL])
+@pytest.mark.parametrize("seeds", ["5", "5,6"])
+def test_killed_cli_takes_its_processes_along(tmp_path, sig, seeds):
+    # the CLI runs in a session of its own, so the session holds exactly the
+    # processes it started, even those it forks after the last look
+    n_seeds = len(seeds.split(","))
+    flags = tiny_flags(tmp_path, method="prestopping_plus", seeds=seeds, jobs=n_seeds,
+                       epochs=20000)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "prestopping.cli", "run", *flags],
+                            env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        # the CLI, a pool worker per seed when there are two, and each seed's
+        # scorer and Phase II child
+        started = 1 + (n_seeds if n_seeds > 1 else 0) + 2 * n_seeds
+        deadline = time.monotonic() + 60
+        while len(session_members(proc.pid)) < started:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        os.kill(proc.pid, sig)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while left := session_members(proc.pid):
+            assert time.monotonic() < deadline, f"still running: {left}"
+            time.sleep(0.05)
+        assert not any(tmp_path.rglob("*seed*"))
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 # ----- the Prestopping+ retrain scored in a child process -----

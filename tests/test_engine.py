@@ -59,16 +59,21 @@ def test_batches_partition_every_sample_once():
 
 def test_train_epoch_records_each_sample_once_with_its_pre_update_prediction():
     # one history entry per sample per epoch: the argmax of its batch's forward
-    # pass under the parameters before that batch's update
+    # pass under the parameters before that batch's update; each update is the
+    # one the public loss_grad_probs and sgd_step make, without a kernel, from
+    # the state before it
     view = toy_problem(tau=0.3, seed=17).train_view()
     cfg = small_config(epochs=3)
+    assert view.n % cfg.batch_size  # a short last batch
     state = nn.init_state(SMALL_SPEC, rng.stream(17, "init"))
     hist = mem.PredictionHistory(view.n, 3, view.n_classes)
     member = rng.stream(17, "member").random(view.n) < 0.5
+    member[engine._make_batches(view.n, cfg.batch_size, rng.stream(17, "shuffle", 2))[1]] = False
     for epoch in (1, 2, 3):
         records = []
+        mask = member if epoch == 2 else None
         engine.train_epoch(view, state, hist, cfg, epoch, 17,
-                           member=member if epoch == 2 else None, step_hook=records.append)
+                           member=mask, step_hook=records.append)
         seen = np.concatenate([rec.indices for rec in records])
         assert np.array_equal(np.sort(seen), np.arange(view.n))
         assert all(hist.history_length(i) == epoch for i in range(view.n))
@@ -76,6 +81,43 @@ def test_train_epoch_records_each_sample_once_with_its_pre_update_prediction():
             want = np.argmax(nn.forward(view.features[rec.indices], rec.before), axis=1)
             got = [hist.history_of(i)[-1] for i in rec.indices]
             assert np.array_equal(got, want), (epoch, rec.indices)
+            replay = rec.before.copy()
+            if rec.n_used:
+                _, grad, _, _ = nn.loss_grad_probs(
+                    view.features[rec.indices], view.labels[rec.indices], replay,
+                    sample_mask=None if mask is None else rec.member_mask, denom=rec.n_used)
+                nn.sgd_step(replay, grad, cfg, epoch)
+            assert replay.params.tobytes() == rec.after.params.tobytes(), (epoch, rec.indices)
+            assert replay.velocity.tobytes() == rec.after.velocity.tobytes()
+            assert rec.lr == cfg.lr_at(epoch)
+        if epoch == 2:  # masked batches, one of them empty, and a short one
+            used = [rec.n_used for rec in records]
+            assert 0 in used and any(0 < u < cfg.batch_size for u in used[:-1])
+            assert len(records[-1].indices) < cfg.batch_size
+
+
+@pytest.mark.parametrize("arg, bad", [
+    ("labels", lambda n: np.zeros(n + 1, dtype=int)),
+    ("labels", lambda n: np.zeros(n - 1, dtype=int)),
+    ("labels", lambda n: np.arange(n) % 4),  # class 3 of 3
+    ("labels", lambda n: -(np.arange(n) % 2)),
+    ("labels", lambda n: np.zeros(n)),  # floats
+    ("member", lambda n: np.ones(n + 1, dtype=bool)),
+    ("member", lambda n: np.ones(n - 1, dtype=bool)),
+    ("member", lambda n: np.full(n, 2)),  # would double every gradient
+    ("features", None),
+], ids=["labels-long", "labels-short", "labels-too-high", "labels-negative",
+        "labels-float", "member-long", "member-short", "member-int", "features-width"])
+def test_train_epoch_checks_its_inputs_before_training(arg, bad):
+    view = toy_problem(tau=0.3, seed=17).train_view()
+    spec = nn.NetworkSpec((5, 8, 3)) if arg == "features" else SMALL_SPEC
+    state = nn.init_state(spec, rng.stream(17, "init"))
+    kept = state.params.copy()
+    hist = mem.PredictionHistory(view.n, 3, view.n_classes)
+    given = {} if bad is None else {arg: bad(view.n)}
+    with pytest.raises(ValueError, match=f"^{arg} "):
+        engine.train_epoch(view, state, hist, small_config(), 1, 17, **given)
+    assert np.array_equal(state.params, kept) and hist.history_length(0) == 0
 
 
 # ----- phase I -----

@@ -252,6 +252,9 @@ def test_masked_gradient_zero_mask_rows_do_not_leak():
     _, grad, _, _ = nn.loss_grad_probs(x, y, state, sample_mask=mask, denom=3)
     _, grad2, _, _ = nn.loss_grad_probs(x[mask], y[mask], state)
     assert np.allclose(grad, grad2, atol=1e-14)
+    # an integer mask of 2s would double the gradient but not the loss
+    with pytest.raises(ValueError, match="sample_mask must be a bool array"):
+        nn.loss_grad_probs(x, y, state, sample_mask=2 * mask.astype(int), denom=3)
 
 
 def test_masked_gradient_full_mask_is_bitwise_plain():
