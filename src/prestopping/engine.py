@@ -115,11 +115,9 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
     one batch updated the parameters.
     """
     n = view.n
-    labels = np.asarray(view.labels if labels is None else labels)
-    if labels.shape != (n,) or labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be {n} integers, got {labels.dtype} of shape "
-                         f"{labels.shape}")
-    labels = nn._check_labels(labels, state.spec.n_classes)
+    labels = nn._check_labels(view.labels if labels is None else labels, state.spec.n_classes)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if member is not None:
         member = np.asarray(member)
         if member.shape != (n,) or member.dtype != bool:

@@ -45,15 +45,13 @@ class PredictionHistory:
         self.record_batch(np.array([index]), np.array([label]))
 
     def record_batch(self, indices, labels) -> None:
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = self._checked(indices)
         labels = np.asarray(labels, dtype=np.int64)
         if indices.shape != labels.shape:
             raise ValueError("indices and labels disagree on shape")
         if len(indices) == 0:
             return
         ordered = np.sort(indices)  # duplicates end up next to each other
-        if ordered[0] < 0 or ordered[-1] >= self.n_samples:
-            raise ValueError(f"sample index out of range [0, {self.n_samples})")
         if labels.min() < 0 or labels.max() >= self.n_classes:
             raise ValueError(f"label out of range [0, {self.n_classes})")
         if np.any(ordered[1:] == ordered[:-1]):
@@ -69,13 +67,24 @@ class PredictionHistory:
         self._pos[indices] = (pos + 1) % self.q
         self._fill[indices] = np.minimum(self._fill[indices] + 1, self.q)
 
+    def _checked(self, indices) -> np.ndarray:
+        """indices, one sample index or an array of them, as int64 in [0, n_samples)."""
+        indices = np.asarray(indices)
+        if indices.size and indices.dtype.kind not in "iu":
+            raise ValueError(f"sample indices must be integers, got {indices.dtype}")
+        indices = indices.astype(np.int64, copy=False)
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n_samples):
+            raise ValueError(f"sample index out of range [0, {self.n_samples})")
+        return indices
+
     # ----- queries -----
 
     def history_length(self, index: int) -> int:
-        return int(self._fill[index])
+        return int(self._fill[self._checked(index)])
 
     def history_of(self, index: int) -> np.ndarray:
         """Recorded labels oldest to newest."""
+        index = self._checked(index)
         fill = self._fill[index]
         if fill < self.q:
             return self._buf[index, :fill].astype(np.int64)
@@ -84,8 +93,7 @@ class PredictionHistory:
 
     def label_counts(self, indices=None) -> np.ndarray:
         """(m, n_classes) occurrence counts over each sample's current history."""
-        counts = self._counts if indices is None \
-            else self._counts[np.asarray(indices, dtype=np.int64)]
+        counts = self._counts if indices is None else self._counts[self._checked(indices)]
         return counts.astype(np.int64)
 
     def _recount(self) -> None:
@@ -100,26 +108,31 @@ class PredictionHistory:
         """Frequency of label in the sample's history; error when history is empty."""
         if not 0 <= label < self.n_classes:
             raise ValueError(f"label out of range [0, {self.n_classes})")
+        index = self._checked(index)
         fill = self._fill[index]
         if fill == 0:
             raise ValueError(f"sample {index} has an empty history")
-        counts = self.label_counts(np.array([index]))[0]
-        return float(counts[label]) / float(fill)
+        return float(self._counts[index, label]) / float(fill)
 
     def is_memorized(self, index: int, noisy_label: int) -> bool:
         """Most frequent history label equals the training label (ties: smallest)."""
         return bool(self.memorized_mask(np.array([noisy_label]), np.array([index]))[0])
 
     def memorized_mask(self, noisy_labels, indices=None) -> np.ndarray:
-        """Vectorized memorization predicate; empty histories are never memorized."""
-        if indices is None:
-            indices = np.arange(self.n_samples)
-        indices = np.asarray(indices, dtype=np.int64)
+        """Vectorized memorization predicate; empty histories are never memorized.
+
+        noisy_labels align with indices, or with every sample when indices is None.
+        """
+        counts, fill = self._counts, self._fill
+        if indices is not None:
+            indices = self._checked(indices)
+            counts, fill = counts[indices], fill[indices]
         noisy_labels = np.asarray(noisy_labels, dtype=np.int64)
-        if len(noisy_labels) != len(indices):
-            raise ValueError("noisy_labels must align with indices")
-        top = np.argmax(self._counts[indices], axis=1)  # first max = smallest class on ties
-        return (self._fill[indices] > 0) & (top == noisy_labels)
+        if len(noisy_labels) != len(fill):
+            raise ValueError(f"noisy_labels must align with {len(fill)} samples, "
+                             f"got {len(noisy_labels)}")
+        top = np.argmax(counts, axis=1)  # first max = smallest class on ties
+        return (fill > 0) & (top == noisy_labels)
 
     # ----- lifecycle -----
 

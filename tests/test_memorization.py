@@ -190,6 +190,23 @@ def test_record_batch_validation():
         h.record_batch([0, 1], [1, 3])
 
 
+@pytest.mark.parametrize("index", [-1, -3, 3, 4])
+@pytest.mark.parametrize("query", [
+    lambda h, i: h.history_length(i),
+    lambda h, i: h.history_of(i),
+    lambda h, i: h.label_probability(i, 1),
+    lambda h, i: h.is_memorized(i, 1),
+    lambda h, i: h.label_counts([0, i]),
+    lambda h, i: h.memorized_mask([1, 1], [0, i]),
+], ids=["history_length", "history_of", "label_probability", "is_memorized",
+        "label_counts", "memorized_mask"])
+def test_queries_reject_indices_outside_the_samples(query, index):
+    h = mem.PredictionHistory(3, q=3, n_classes=3)
+    h.record_batch([0, 1, 2], [1, 1, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        query(h, index)
+
+
 def from_scratch_counts(h) -> np.ndarray:
     """(n, k) label counts of every sample's current history, recounted."""
     return np.array([np.bincount(h.history_of(i), minlength=h.n_classes)

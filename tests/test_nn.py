@@ -1,5 +1,6 @@
 """Network core: forward/gradient oracles, optimizer arithmetic, checkpoint IO."""
 
+import contextlib
 import copy
 import pickle
 import struct
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import flat_vector, straight_line_forward
-from prestopping import nn, rng
+from prestopping import cli, nn, rng
 
 # ----- fixtures / helpers -----
 
@@ -199,6 +200,18 @@ def test_loss_rejects_out_of_range_labels():
         nn.loss_grad_probs(np.empty((0, 3)), np.empty(0, dtype=int), state)
 
 
+@pytest.mark.parametrize("labels", [[0.9, 1.7], np.array([True, False])],
+                         ids=["floats", "bools"])
+@pytest.mark.parametrize("call", [
+    lambda labels, state: nn.per_sample_losses(GOLDEN_INPUT, labels, state),
+    lambda labels, state: nn.evaluate_error(GOLDEN_INPUT, labels, state),
+    lambda labels, state: nn.loss_grad_probs(GOLDEN_INPUT, labels, state),
+], ids=["per_sample_losses", "evaluate_error", "loss_grad_probs"])
+def test_label_functions_reject_non_integer_labels(call, labels):
+    with pytest.raises(ValueError, match="labels must be integers"):
+        call(labels, small_state())
+
+
 # ----- gradient oracle -----
 
 def away_from_kinks(x, state, margin=1e-3):
@@ -375,6 +388,49 @@ def test_evaluation_with_reused_scratch_matches_numpy_oracle():
     # no returned array aliases a buffer that later calls overwrite
     for got, frozen in kept:
         assert all(np.array_equal(a, b) for a, b in zip(got, frozen))
+
+
+# hidden widths that are all multiples of 8 run in row blocks; other widths, and
+# the output layer of every network, in one block of all rows
+BLOCKED_SIZES = [(16, 128, 64, 4), (16, 256, 128, 10), (16, 128, 128, 128, 4)]
+WHOLE_SIZES = [(16, 128, 4, 4), (16, 100, 50, 4), (16, 64, 12, 4), (16, 4)]
+
+
+@pytest.mark.parametrize("one_thread", [True, False], ids=["one-blas-thread", "default-threads"])
+def test_blocked_evaluation_is_bitwise_the_straight_line_pass(one_thread):
+    # row counts around one and two blocks, where an uneven split would leave a
+    # one-row block, and desk-scale sets of several blocks
+    r = nn.EVAL_ROWS
+    g = rng.stream(5, "x")
+    with cli._one_blas_thread() if one_thread else contextlib.nullcontext():
+        for sizes in BLOCKED_SIZES + WHOLE_SIZES:
+            state = small_state(3, sizes=sizes)
+            for b in state.biases:
+                b[...] = g.normal(size=b.shape)
+            k = sizes[-1]
+            for n in (1, 2, r - 1, r, r + 1, 2 * r + 1, 4000, 5500):
+                x = g.normal(size=(n, 16)) * 2.0
+                labels = g.integers(0, k, size=n)
+                probs, acts = straight_line_forward(state.weights, state.biases, x)
+                logits = acts[-1] @ state.weights[-1] + state.biases[-1]
+                m = logits.max(axis=1)
+                losses = (m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+                          - logits[np.arange(n), labels])
+                got = (nn.forward(x, state), nn.predict_labels(x, state),
+                       nn.per_sample_losses(x, labels, state))
+                for out, want in zip(got, (probs, np.argmax(probs, axis=1), losses)):
+                    assert out.tobytes() == want.tobytes(), (sizes, n)
+
+
+def test_evaluation_scratch_before_the_last_hidden_layer_holds_one_block():
+    # the whole-set pass keeps only the last hidden layer for all rows
+    vars(nn._SCRATCH).pop("arrays", None)
+    state = small_state(1, sizes=(16, 128, 64, 4))
+    nn.forward(rng.stream(6, "x").normal(size=(4000, 16)), state)
+    arrays = nn._SCRATCH.arrays
+    assert {layer for layer, _ in arrays} == {0, 1, 2}
+    assert len(arrays[(0, 128)]) <= nn.EVAL_ROWS
+    assert len(arrays[(1, 64)]) == 4000
 
 
 # ----- checkpoint format -----
