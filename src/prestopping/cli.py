@@ -106,6 +106,8 @@ class ExperimentConfig:
             self.optimizer()
             memorization.PredictionHistory(1, self.q, self.n_classes)
             refurbish.RefurbishConfig(self.epsilon, ())
+            if self.tau is not None:
+                data.check_tau(self.tau)
         except ValueError as exc:
             field, _, msg = str(exc).partition(" ")
             bad(LIBRARY_KEYS.get(field, field), msg)
@@ -135,8 +137,6 @@ class ExperimentConfig:
             bad("test_size", "need a test partition to score runs")
         if self.noise != "none" and self.tau is None:
             bad("tau", f"required when noise = {self.noise}")
-        if self.tau is not None and not 0.0 <= self.tau < 1.0:
-            bad("tau", f"must lie in [0, 1), got {self.tau}")
         if self.method in ("prestopping", "prestopping_plus"):
             if self.heuristic == "noise_rate" and self.tau is None:
                 bad("tau", "noise_rate heuristic needs the noise rate")

@@ -12,6 +12,27 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_labels(labels, n_classes: int, name: str = "labels") -> np.ndarray:
+    """labels as a 1-D int64 array in [0, n_classes); int64 input is not copied.
+
+    The one rule for every label input: a non-empty input must have an
+    integer dtype (floats are not truncated, bools are not classes), be 1-D
+    and lie in range. Each message starts with name.
+    """
+    labels = np.asarray(labels)
+    if not labels.size:
+        return labels.astype(np.int64, copy=False)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {labels.dtype}")
+    if labels.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {labels.shape}")
+    labels = labels.astype(np.int64, copy=False)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"{name} must lie in [0, {n_classes}), got range "
+                         f"[{labels.min()}, {labels.max()}]")
+    return labels
+
+
 @dataclass(frozen=True)
 class DataView:
     """What training is allowed to see: features and one label per sample."""
@@ -21,11 +42,9 @@ class DataView:
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "labels", check_labels(self.labels, self.n_classes))
         if self.features.ndim != 2 or len(self.features) != len(self.labels):
             raise ValueError("features and labels disagree on length")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
-            raise ValueError(f"labels must lie in [0, {self.n_classes})")
 
     @property
     def n(self) -> int:
@@ -41,19 +60,16 @@ class NoisyDataset:
     n_classes: int
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "noisy_labels", np.asarray(self.noisy_labels, dtype=np.int64))
-        object.__setattr__(self, "true_labels", np.asarray(self.true_labels, dtype=np.int64))
-        n = len(self.features)
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-d, got shape {self.features.shape}")
-        if len(self.noisy_labels) != n or len(self.true_labels) != n:
-            raise ValueError("label arrays disagree with feature count")
         if self.n_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")
-        for name, arr in (("noisy", self.noisy_labels), ("true", self.true_labels)):
-            if len(arr) and (arr.min() < 0 or arr.max() >= self.n_classes):
-                raise ValueError(f"{name} labels must lie in [0, {self.n_classes})")
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be 2-d, got shape {self.features.shape}")
+        for name in ("noisy_labels", "true_labels"):
+            labels = check_labels(getattr(self, name), self.n_classes, name)
+            if len(labels) != len(self.features):
+                raise ValueError("label arrays disagree with feature count")
+            object.__setattr__(self, name, labels)
 
     @property
     def n(self) -> int:
@@ -120,7 +136,7 @@ def synth_gaussian(n_classes: int, per_class: int, dim: int, spread: float,
 
 def build_symmetric_matrix(n_classes: int, tau: float) -> TransitionMatrix:
     """1 - tau on the diagonal, tau spread uniformly over the other classes."""
-    _check_tau(tau)
+    check_tau(tau)
     k = n_classes
     m = np.full((k, k), tau / (k - 1))
     np.fill_diagonal(m, 1.0 - tau)
@@ -129,7 +145,7 @@ def build_symmetric_matrix(n_classes: int, tau: float) -> TransitionMatrix:
 
 def build_pair_matrix(n_classes: int, tau: float) -> TransitionMatrix:
     """1 - tau on the diagonal, tau on the next class (wrapping around)."""
-    _check_tau(tau)
+    check_tau(tau)
     k = n_classes
     m = np.zeros((k, k))
     for i in range(k):
@@ -138,9 +154,10 @@ def build_pair_matrix(n_classes: int, tau: float) -> TransitionMatrix:
     return TransitionMatrix(m)
 
 
-def _check_tau(tau: float):
+def check_tau(tau: float) -> None:
+    """The one range rule for the noise rate tau."""
     if not 0.0 <= tau < 1.0:
-        raise ValueError(f"noise rate must lie in [0, 1), got {tau}")
+        raise ValueError(f"tau must lie in [0, 1), got {tau}")
 
 
 def inject_noise(dataset: NoisyDataset, matrix: TransitionMatrix, seed: int) -> NoisyDataset:

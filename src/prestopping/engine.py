@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import nn, rng
-from .data import DataView
+from .data import DataView, check_labels, check_tau
 from .memorization import PredictionHistory
 
 
@@ -39,8 +39,7 @@ class StopHeuristic:
         elif self.kind == "noise_rate":
             if self.tau is None:
                 raise ValueError("noise_rate heuristic needs the noise rate tau")
-            if not 0.0 <= float(self.tau) < 1.0:
-                raise ValueError(f"tau must lie in [0, 1), got {self.tau}")
+            check_tau(self.tau)
         else:
             raise ValueError(f"unknown heuristic kind {self.kind!r}")
 
@@ -115,7 +114,7 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
     one batch updated the parameters.
     """
     n = view.n
-    labels = nn._check_labels(view.labels if labels is None else labels, state.spec.n_classes)
+    labels = check_labels(view.labels if labels is None else labels, state.spec.n_classes)
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if member is not None:

@@ -14,6 +14,8 @@ import struct
 
 import numpy as np
 
+from .data import check_labels
+
 HISTORY_MAGIC = b"PSTH1"
 MAX_Q = 255  # history entries and lengths are stored as single bytes
 MAX_CLASSES = 256  # so are the predicted labels
@@ -46,14 +48,12 @@ class PredictionHistory:
 
     def record_batch(self, indices, labels) -> None:
         indices = self._checked(indices)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = check_labels(labels, self.n_classes)
         if indices.shape != labels.shape:
             raise ValueError("indices and labels disagree on shape")
         if len(indices) == 0:
             return
         ordered = np.sort(indices)  # duplicates end up next to each other
-        if labels.min() < 0 or labels.max() >= self.n_classes:
-            raise ValueError(f"label out of range [0, {self.n_classes})")
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate sample indices in one recording call")
         pos = self._pos[indices]
@@ -106,8 +106,7 @@ class PredictionHistory:
 
     def label_probability(self, index: int, label: int) -> float:
         """Frequency of label in the sample's history; error when history is empty."""
-        if not 0 <= label < self.n_classes:
-            raise ValueError(f"label out of range [0, {self.n_classes})")
+        label = check_labels([label], self.n_classes, "label")[0]
         index = self._checked(index)
         fill = self._fill[index]
         if fill == 0:
@@ -127,7 +126,7 @@ class PredictionHistory:
         if indices is not None:
             indices = self._checked(indices)
             counts, fill = counts[indices], fill[indices]
-        noisy_labels = np.asarray(noisy_labels, dtype=np.int64)
+        noisy_labels = check_labels(noisy_labels, self.n_classes, "noisy_labels")
         if len(noisy_labels) != len(fill):
             raise ValueError(f"noisy_labels must align with {len(fill)} samples, "
                              f"got {len(noisy_labels)}")

@@ -61,7 +61,6 @@ def snapshot_epoch(ctx: EpochContext, train_ds: NoisyDataset,
     clean = train_ds.noisy_labels == train_ds.true_labels
     true_count = int(np.count_nonzero(mask & clean))
     size = int(np.count_nonzero(mask))
-    # the larger set first, as the scratch buffers grow to it
     train_error = nn.evaluate_error(train_ds.features, train_ds.noisy_labels, ctx.state)
     test_error = nn.evaluate_error(test_view.features, test_view.labels, ctx.state)
     # the safe set's precision is the memorization precision mp

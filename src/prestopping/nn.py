@@ -2,32 +2,31 @@
 
 All math is float64. The forward pass is pure; training mutates a
 NetworkState that is exclusively owned by one training run. Evaluation
-writes its layer outputs into per-thread scratch arrays and returns only
-fresh arrays; a training epoch's steps write into the buffers of one
-_TrainKernel. Every product of a training step, and the output-layer product
-of an evaluation pass, keeps the operands and shape of a plain `a @ w`. An
-evaluation pass runs its hidden layers in row blocks (_row_blocks): on
-NumPy's OpenBLAS, with one or two threads, a hidden product over a block of
-rows matched the rows of the whole product in all 5,108 comparisons made,
-for hidden widths 8-1024 in steps of 8 and fan-ins 1-1000. Blocks are not
-used where that failed: a width that is not a multiple of 8 (2, 3, 4 and 12
-differed at fan-in 64 and up, as did every 64 -> 4 output product) and a
-one-row block (computed as a matrix-vector product). So every result is
-bitwise that of an allocating pass.
+allocates its arrays on each call, so concurrent calls share nothing; a
+training epoch's steps write into the buffers of one _TrainKernel. Every
+product of a training step, and the output-layer product of an evaluation
+pass, keeps the operands and shape of a plain `a @ w`. An evaluation pass
+runs its hidden layers in row blocks (_row_blocks): on NumPy's OpenBLAS,
+with one or two threads, a hidden product over a block of rows matched the
+rows of the whole product in all 5,108 comparisons made, for hidden widths
+8-1024 in steps of 8 and fan-ins 1-1000. Blocks are not used where that
+failed: a width that is not a multiple of 8 (2, 3, 4 and 12 differed at
+fan-in 64 and up, as did every 64 -> 4 output product) and a one-row block
+(computed as a matrix-vector product). So every result is bitwise that of
+an unblocked pass.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_labels
+
 CHECKPOINT_MAGIC = b"PSTP1"
 EVAL_ROWS = 512  # most rows per block of an evaluation pass's hidden layers
-# per-thread evaluation buffers; see _scratch
-_SCRATCH = threading.local()
 
 
 # ----- configuration types -----
@@ -176,21 +175,9 @@ def _check_features(features: np.ndarray, spec: NetworkSpec) -> np.ndarray:
     return x
 
 
-def _scratch(layer: int, n: int, width: int) -> np.ndarray:
-    """(n, width) view of this thread's scratch array for one layer, grown to fit.
-
-    Keyed by layer index as well as width, so that a layer's input and output
-    never share an array even when two consecutive layers have one width.
-    """
-    arrays = vars(_SCRATCH).setdefault("arrays", {})
-    buf = arrays.get((layer, width))
-    if buf is None or len(buf) < n:
-        buf = arrays[(layer, width)] = np.empty((n, width))
-    return buf[:n]
-
-
 def _layer_outputs(x, state: NetworkState, outs) -> list:
-    """Post-activations [x, outs[0], ...] of the first len(outs) layers, layer l into outs[l].
+    """Post-activations [x, outs[0], ...] of the first len(outs) layers, layer l into
+    outs[l], or into a fresh array where outs[l] is None.
 
     Every layer but the network's last is ReLU, so given a buffer for every
     layer the last output is the logits.
@@ -219,25 +206,24 @@ def _row_blocks(n: int, hidden_widths) -> list:
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-def _scratch_outputs(features, state: NetworkState) -> np.ndarray:
-    """Logits in this thread's scratch arrays, which the next such pass overwrites.
+def _logits(features, state: NetworkState) -> np.ndarray:
+    """Logits of an evaluation pass, in arrays allocated for this call.
 
     Each row block's hidden products, bias adds and ReLUs run while the block
     is in cache, and only the last hidden layer is kept for all n rows; the
-    output layer is one product over all of them. Scratch memory is thus
-    O(EVAL_ROWS * widest + n * (last hidden width + classes)).
+    output layer is one product over all of them. Memory is thus
+    O(EVAL_ROWS * widest + n * (last hidden width + classes)), held only
+    during the call.
     """
     x = _check_features(features, state.spec)
-    n, last = len(x), state.n_layers - 1
-    widths = state.spec.layer_sizes[1:]
+    last = state.n_layers - 1
     hidden = x
     if last:
-        hidden = _scratch(last - 1, n, widths[last - 1])
-        for rows in _row_blocks(n, widths[:last]):
-            size = rows.stop - rows.start
-            outs = [_scratch(layer, size, widths[layer]) for layer in range(last - 1)]
-            _layer_outputs(x[rows], state, outs + [hidden[rows]])
-    logits = np.matmul(hidden, state.weights[last], out=_scratch(last, n, widths[last]))
+        widths = state.spec.layer_sizes[1:last + 1]
+        hidden = np.empty((len(x), widths[-1]))
+        for rows in _row_blocks(len(x), widths):
+            _layer_outputs(x[rows], state, [None] * (last - 1) + [hidden[rows]])
+    logits = hidden @ state.weights[last]
     logits += state.biases[last]
     return logits
 
@@ -275,25 +261,10 @@ def _softmax_ce(logits, labels=None, m=None, s=None, row_max=None):
 
 
 def forward(features, state: NetworkState) -> np.ndarray:
-    """Class probabilities, shape (n, k), as a fresh array; no side effects on state.
-
-    Evaluation reuses this thread's internal scratch arrays; the result never
-    aliases them.
-    """
-    logits = _scratch_outputs(features, state)
-    _softmax_ce(logits)
-    return logits.copy()
-
-
-def _check_labels(labels, k: int):
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got {labels.dtype}")
-    labels = labels.astype(np.int64, copy=False)
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"labels must lie in [0, {k}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
-    return labels
+    """Class probabilities, shape (n, k), as a fresh array; no side effects on state."""
+    probs = _logits(features, state)
+    _softmax_ce(probs)
+    return probs
 
 
 class _TrainKernel:
@@ -371,7 +342,7 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
     """
     reference = kernel is None
     if reference:
-        labels = _check_labels(labels, state.spec.n_classes)
+        labels = check_labels(labels, state.spec.n_classes)
         n = len(labels)
         if n == 0:
             raise ValueError("cannot take a gradient over an empty batch")
@@ -426,8 +397,8 @@ def sgd_step(state: NetworkState, grad, config: OptimizerConfig, epoch: int,
 
 def per_sample_losses(features, labels, state: NetworkState) -> np.ndarray:
     """Cross-entropy of each sample against the given labels; no gradients."""
-    labels = _check_labels(labels, state.spec.n_classes)
-    return _softmax_ce(_scratch_outputs(features, state), labels)
+    labels = check_labels(labels, state.spec.n_classes)
+    return _softmax_ce(_logits(features, state), labels)
 
 
 def predict_labels(features, state: NetworkState) -> np.ndarray:
@@ -437,7 +408,7 @@ def predict_labels(features, state: NetworkState) -> np.ndarray:
 
 def evaluate_error(features, labels, state: NetworkState) -> float:
     """0-1 error of argmax predictions against the given labels."""
-    labels = _check_labels(labels, state.spec.n_classes)
+    labels = check_labels(labels, state.spec.n_classes)
     if len(labels) == 0:
         raise ValueError("cannot evaluate on an empty set")
     return float(np.mean(predict_labels(features, state) != labels))

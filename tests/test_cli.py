@@ -128,6 +128,11 @@ def test_config_error_exit_code(tmp_path, capsys):
         (["--epsilon", "-0.01"], "epsilon"),
         (["--epsilon", "1.01"], "epsilon"),
         (["--epsilon", "nan"], "epsilon"),
+        # tau's range is checked whether or not a library object reads tau
+        *[(flags + ["--tau", value], "tau")
+          for flags in (["--method", "default"],
+                        ["--method", "prestopping", "--heuristic", "noise_rate"])
+          for value in ("1.5", "-0.1", "1")],
         # a CSV dataset is read before training: too few rows, too many classes, malformed
         (["--data_csv", str(small)], "validation_size"),
         (["--data_csv", str(wide)], "data_csv"),

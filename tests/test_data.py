@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from prestopping import data, nn, rng
+from prestopping import data, engine, memorization, nn, rng
 
 
 def make_ds(n=40, d=3, k=4, seed=0):
@@ -276,3 +276,67 @@ def test_csv_headerless_layout_is_fixed_by_the_first_row(tmp_path):
     two_first.write_text("0.25,3,1\n0.5,1.5,0\n")
     with pytest.raises(ValueError, match="line 2"):
         data.load_csv(two_first)
+
+
+# ----- the label rule -----
+
+X2 = np.zeros((2, 3))  # two samples; every label input below is 4-class
+
+
+def two_sample_history():
+    h = memorization.PredictionHistory(2, 3, 4)
+    h.record_batch([0, 1], [0, 1])  # label_probability needs a history
+    return h
+
+
+def small_state():
+    return nn.init_state(nn.NetworkSpec((3, 5, 4)), rng.stream(0, "init"))
+
+
+def train_one_epoch(labels):
+    engine.train_epoch(data.DataView(X2, [0, 1], 4), small_state(),
+                       memorization.PredictionHistory(2, 3, 4),
+                       nn.OptimizerConfig(batch_size=2), epoch=1, seed=0, labels=labels)
+
+
+# entry point -> (name its messages start with, takes one label, call)
+LABEL_INPUTS = {
+    "DataView": ("labels", False, lambda y: data.DataView(X2, y, 4)),
+    "NoisyDataset-noisy": ("noisy_labels", False, lambda y: data.NoisyDataset(X2, y, [0, 1], 4)),
+    "NoisyDataset-true": ("true_labels", False, lambda y: data.NoisyDataset(X2, [0, 1], y, 4)),
+    "per_sample_losses": ("labels", False, lambda y: nn.per_sample_losses(X2, y, small_state())),
+    "evaluate_error": ("labels", False, lambda y: nn.evaluate_error(X2, y, small_state())),
+    "loss_grad_probs": ("labels", False, lambda y: nn.loss_grad_probs(X2, y, small_state())),
+    "train_epoch": ("labels", False, train_one_epoch),
+    "record_batch": ("labels", False, lambda y: two_sample_history().record_batch([0, 1], y)),
+    "record": ("labels", True, lambda y: two_sample_history().record(0, y)),
+    "memorized_mask": ("noisy_labels", False, lambda y: two_sample_history().memorized_mask(y)),
+    "is_memorized": ("noisy_labels", True, lambda y: two_sample_history().is_memorized(0, y)),
+    "label_probability": ("label", True, lambda y: two_sample_history().label_probability(0, y)),
+}
+# bad input -> (two labels, one label)
+BAD_LABELS = {
+    "floats": ([0.9, 1.7], 1.7),
+    "bools": (np.array([True, False]), True),
+    "2-D": ([[0], [1]], [[1]]),
+    "too-large": ([0, 4], 4),
+    "negative": ([-1, 0], -1),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+@pytest.mark.parametrize("entry", LABEL_INPUTS.values(), ids=LABEL_INPUTS.keys())
+def test_every_label_input_follows_one_rule(entry, bad):
+    # no float is truncated, no bool read as a class, no 2-D mask broadcast,
+    # and no label outside [0, n_classes) read or silently not matched
+    name, single, call = entry
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call(bad[single])
+
+
+def test_label_rule_keeps_int64_and_converts_other_integers():
+    labels = np.array([0, 3, 1])
+    assert data.check_labels(labels, 4) is labels
+    small = data.check_labels(labels.astype(np.uint8), 4)
+    assert small.dtype == np.int64 and np.array_equal(small, labels)
+    assert data.check_labels([], 4).dtype == np.int64

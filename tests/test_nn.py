@@ -4,6 +4,10 @@ import contextlib
 import copy
 import pickle
 import struct
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -360,8 +364,8 @@ def test_evaluate_error_and_argmax_tie_break():
 
 
 def test_evaluation_with_reused_scratch_matches_numpy_oracle():
-    # row counts grow the scratch arrays and then shrink them; two networks
-    # alternate, and hidden (64, 64) gives two layers one width
+    # row counts grow and then shrink between calls; two networks alternate,
+    # and hidden (64, 64) gives two layers one width
     g = rng.stream(4, "x")
     states = [small_state(1, sizes=(16, 64, 64, 4)), small_state(2, sizes=(16, 128, 64, 4))]
     for state in states:
@@ -385,7 +389,7 @@ def test_evaluation_with_reused_scratch_matches_numpy_oracle():
                 assert np.array_equal(out, want)
             assert nn.evaluate_error(x, labels, state) == float(np.mean(preds != labels))
             kept.append((got, [out.copy() for out in got]))
-    # no returned array aliases a buffer that later calls overwrite
+    # no returned array is overwritten by a later call
     for got, frozen in kept:
         assert all(np.array_equal(a, b) for a, b in zip(got, frozen))
 
@@ -422,15 +426,55 @@ def test_blocked_evaluation_is_bitwise_the_straight_line_pass(one_thread):
                     assert out.tobytes() == want.tobytes(), (sizes, n)
 
 
-def test_evaluation_scratch_before_the_last_hidden_layer_holds_one_block():
-    # the whole-set pass keeps only the last hidden layer for all rows
-    vars(nn._SCRATCH).pop("arrays", None)
+def test_evaluation_holds_one_block_before_the_last_hidden_layer():
+    # the whole-set pass keeps only the last hidden layer (4000x64) for all rows;
+    # a pass that also held layer 0 for all rows would need a 4000x128 array more
     state = small_state(1, sizes=(16, 128, 64, 4))
-    nn.forward(rng.stream(6, "x").normal(size=(4000, 16)), state)
-    arrays = nn._SCRATCH.arrays
-    assert {layer for layer, _ in arrays} == {0, 1, 2}
-    assert len(arrays[(0, 128)]) <= nn.EVAL_ROWS
-    assert len(arrays[(1, 64)]) == 4000
+    g = rng.stream(6, "x")
+    x, labels = g.normal(size=(4000, 16)), g.integers(0, 4, size=4000)
+    calls = {"forward": lambda: nn.forward(x, state),
+             "per_sample_losses": lambda: nn.per_sample_losses(x, labels, state),
+             "evaluate_error": lambda: nn.evaluate_error(x, labels, state)}
+    for call in calls.values():
+        call()  # warm-up
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < 4000 * 128 * 8, (name, peak)
+    finally:
+        tracemalloc.stop()
+
+
+def test_concurrent_evaluation_is_bitwise_the_serial_one():
+    # two threads evaluating two networks at once share no arrays
+    g = rng.stream(7, "x")
+    states = [small_state(1, sizes=(16, 128, 64, 4)), small_state(2, sizes=(16, 64, 64, 4))]
+    inputs = [(g.normal(size=(1500, 16)), g.integers(0, 4, size=1500)) for _ in states]
+
+    def evaluate(i):
+        (x, labels), state = inputs[i], states[i]
+        return (nn.forward(x, state).tobytes(), nn.per_sample_losses(x, labels, state).tobytes(),
+                nn.evaluate_error(x, labels, state))
+
+    serial = [evaluate(i) for i in range(len(states))]
+    start = threading.Barrier(len(states))
+
+    def repeat(i):
+        start.wait(timeout=30)
+        return [evaluate(i) for _ in range(30)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often inside the Python parts of a pass
+    try:
+        with ThreadPoolExecutor(len(states)) as pool:
+            for i, results in enumerate(pool.map(repeat, range(len(states)), timeout=120)):
+                assert all(result == serial[i] for result in results), i
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ----- checkpoint format -----
