@@ -272,7 +272,7 @@ def run_prestopping(view: DataView, heuristic: StopHeuristic, net_spec: nn.Netwo
                     step_hook: Optional[StepHook] = None) -> PrestopResult:
     """Full two-phase run: Phase I to the stop point, Phase II to the end.
 
-    The serial composition; cli._train_one, which runs Phase II beside Phase I,
+    The serial composition; processes.train_seed, which runs Phase II beside Phase I,
     must match it byte for byte.
     """
     ckpt = phase1_train(view, heuristic, net_spec, config, q, seed, observer)

@@ -95,14 +95,12 @@ class Batch:
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = check_labels(self.labels, np.iinfo(np.int64).max)  # no class count here
         b = len(self.indices)
         if self.features.ndim != 2 or self.features.shape[0] != b or len(self.labels) != b:
             raise ValueError("batch arrays disagree on length")
         if len(np.unique(self.indices)) != b:
             raise ValueError("batch indices must be distinct")
-        if b and self.labels.min() < 0:
-            raise ValueError("labels must be non-negative")
 
 
 def _n_params(spec: NetworkSpec) -> int:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from prestopping import cli, metrics
+from prestopping import cli, metrics, processes
 
 DESK = dict(n_classes=4, per_class=1375, dim=16, spread=0.3,
             validation_size=500, test_size=1000, hidden=(128, 64),
@@ -77,7 +77,7 @@ class DeskLab:
             train_ds, val_view, test_view = self.dataset(noise, tau, seed)
             collector = metrics.MetricsCollector(train_ds, test_view)
             t0 = time.perf_counter()
-            result, _ = cli._train_one(cfg, seed, train_ds, val_view, collector)
+            result, _ = processes.train_seed(cfg, seed, train_ds, val_view, collector)
             wall = time.perf_counter() - t0
             ckpt = None if result is None else result.checkpoint
             self._runs[key] = DeskRun(collector, ckpt, train_ds, wall)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prestopping import cli, data, engine, metrics, nn, refurbish
+from prestopping import cli, data, engine, metrics, nn, processes, refurbish
 
 ROOT_CFG = "configs/default.cfg"
 
@@ -562,7 +562,8 @@ def tiny_config(**kw):
 
 
 def serial_and_overlapped(cfg, seed):
-    """[(PrestopResult, MetricsCollector)] of engine.run_prestopping, then of cli._train_one."""
+    """[(PrestopResult, MetricsCollector)] of engine.run_prestopping, then of
+    processes.train_seed."""
     train_ds, val_view, test_view = cli.build_dataset(cfg, seed)
     view = train_ds.train_view()
     net = cfg.net_spec(view.features.shape[1], view.n_classes)
@@ -570,7 +571,7 @@ def serial_and_overlapped(cfg, seed):
     serial = metrics.MetricsCollector(train_ds, test_view)
     result = engine.run_prestopping(view, heur, net, cfg.optimizer(), cfg.q, seed, serial)
     overlapped = metrics.MetricsCollector(train_ds, test_view)
-    o_result, plus = cli._train_one(cfg, seed, train_ds, val_view, overlapped)
+    o_result, plus = processes.train_seed(cfg, seed, train_ds, val_view, overlapped)
     assert plus is None
     return [(result, serial), (o_result, overlapped)]
 
@@ -599,14 +600,14 @@ def run_bytes(result, collector, work) -> dict:
 
 @pytest.mark.parametrize("histogram_phase", ["phase1", "phase2"])
 def test_overlapped_run_is_byte_identical_to_serial(tmp_path, monkeypatch, histogram_phase):
-    restarts, start = [], cli._ForkedChild.start
+    restarts, start = [], processes._ForkedChild.start
 
     def counted(self, body, *args, **kwargs):
-        if body is cli._phase2_body:
+        if body is processes._phase2_body:
             restarts.append(args[0].epoch)
         start(self, body, *args, **kwargs)
 
-    monkeypatch.setattr(cli._ForkedChild, "start", counted)
+    monkeypatch.setattr(processes._ForkedChild, "start", counted)
     if histogram_phase == "phase2":
         observe = metrics.MetricsCollector.__call__
 
@@ -693,7 +694,7 @@ def test_phase2_warnings_reach_the_parent(monkeypatch):
 @pytest.mark.parametrize("failure", ["raise", "exit"])
 def test_phase2_failure_after_the_handover_fails_the_seed(tmp_path, monkeypatch, capsys,
                                                           failure):
-    scored, retrain, retrained = cli._scored, refurbish.run_prestopping_plus, []
+    scored, retrain, retrained = processes._scored, refurbish.run_prestopping_plus, []
 
     def failing_phase2_scoring(collector, net_spec, epochs):
         def checked():  # only the Phase II child scores phase2 epochs, after its handover
@@ -709,7 +710,7 @@ def test_phase2_failure_after_the_handover_fails_the_seed(tmp_path, monkeypatch,
         retrained.append(None)
         return retrain(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_scored", failing_phase2_scoring)
+    monkeypatch.setattr(processes, "_scored", failing_phase2_scoring)
     monkeypatch.setattr(refurbish, "run_prestopping_plus", counted_retrain)
     expected = {"raise": "ValueError: Phase II scoring broke",
                 "exit": "RuntimeError: seed 0: Phase II process exited with code 3 "
@@ -809,7 +810,7 @@ def test_scored_retrain_is_byte_identical_to_serial(tmp_path, monkeypatch, histo
     plus = refurbish.run_prestopping_plus(view, result.safe_set, net, cfg.optimizer(), cfg.q,
                                           cfg.epsilon, 0, observer=serial)
     scored = metrics.MetricsCollector(train_ds, test_view)
-    scored_result, scored_plus = cli._train_one(cfg, 0, train_ds, val_view, scored)
+    scored_result, scored_plus = processes.train_seed(cfg, 0, train_ds, val_view, scored)
     capture = next(r for r in serial.rows if r.phase == histogram_phase and r.train_error < 0.5)
     assert serial.histogram.epoch == capture.epoch
     assert [r.phase for r in serial.rows].count("plus") == cfg.epochs
@@ -834,7 +835,7 @@ def test_noise_rate_run_is_byte_identical_to_serial(tmp_path):
     plus = refurbish.run_prestopping_plus(view, result.safe_set, net, cfg.optimizer(), cfg.q,
                                           cfg.epsilon, 0, observer=serial)
     scored = metrics.MetricsCollector(train_ds, test_view)
-    scored_result, scored_plus = cli._train_one(cfg, 0, train_ds, val_view, scored)
+    scored_result, scored_plus = processes.train_seed(cfg, 0, train_ds, val_view, scored)
     assert scored_result.checkpoint.epoch == result.checkpoint.epoch < cfg.epochs
     assert plus_bytes(scored_plus, scored, tmp_path / "c") == \
         plus_bytes(plus, serial, tmp_path / "s")
@@ -874,13 +875,13 @@ def test_parent_makes_no_evaluation_during_the_retrain(tmp_path, monkeypatch):
 
 
 def test_scorer_death_names_seed_and_exit_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_score_epochs", lambda *args: os._exit(3))
+    monkeypatch.setattr(processes, "_score_epochs", lambda *args: os._exit(3))
     assert failed_seed(tmp_path, capsys, "prestopping_plus") == \
         "RuntimeError: seed 0: scorer process exited with code 3 without a result"
 
 
 def test_send_to_a_dead_child_names_seed_and_exit_code():
-    child = cli._ForkedChild(0, "scorer process")
+    child = processes._ForkedChild(0, "scorer process")
     child.start(lambda hand_over, inbox: os._exit(3))
     while multiprocessing.active_children():
         time.sleep(0.01)
@@ -892,13 +893,43 @@ def test_send_to_a_dead_child_names_seed_and_exit_code():
 
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe capacity is fixed here")
 def test_sends_do_not_wait_for_a_busy_child():
-    child = cli._ForkedChild(0, "scorer process")
+    child = processes._ForkedChild(0, "scorer process")
     child.start(lambda hand_over, inbox: time.sleep(60))
     t0 = time.perf_counter()
     for _ in range(8):
         child.send(np.zeros(11_000))  # about one desk-scale parameter vector
     assert time.perf_counter() - t0 < 10  # buffered, not read: the child never reads
     child.stop()
+
+
+@pytest.mark.parametrize("hand_over_first", [False, True], ids=["raise", "hand-over-then-raise"])
+def test_an_exception_that_cannot_be_pickled_arrives_as_its_text(hand_over_first):
+    class Local(Exception):  # a local class and a lambda: neither pickles
+        pass
+
+    def body(hand_over, inbox):
+        if hand_over_first:
+            hand_over("handed over")
+        exc = Local("held a lambda")
+        exc.callback = lambda: None
+        raise exc
+
+    child = processes._ForkedChild(0, "scorer process")
+    child.start(body)
+    try:
+        if hand_over_first:
+            assert child.handover() == "handed over"
+        with pytest.raises(RuntimeError) as err:
+            child.result()
+        assert type(err.value) is RuntimeError and str(err.value) == "Local: held a lambda"
+    finally:
+        child.stop()
+
+
+def test_processes_does_not_import_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(processes.__file__).parents[1]))
+    code = "import sys, prestopping.processes; sys.exit('prestopping.cli' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_scorer_error_fails_the_seed_as_in_a_serial_run(tmp_path, monkeypatch, capsys):
@@ -923,7 +954,7 @@ def test_retrain_error_kills_the_scorer(tmp_path, monkeypatch, capsys):
         return candidates(*args, **kwargs)
 
     monkeypatch.setattr(refurbish, "refurbish_candidates", failing_at_epoch_three)
-    monkeypatch.setattr(cli, "_score_epochs", lambda *args: time.sleep(60))
+    monkeypatch.setattr(processes, "_score_epochs", lambda *args: time.sleep(60))
     t0 = time.perf_counter()
     assert failed_seed(tmp_path, capsys, "prestopping_plus") == "ValueError: retrain broke"
     assert time.perf_counter() - t0 < 30  # killed, not waited for
@@ -932,7 +963,7 @@ def test_retrain_error_kills_the_scorer(tmp_path, monkeypatch, capsys):
 # ----- BLAS threads -----
 
 def test_openblas_is_looked_up_once_per_process(tmp_path, monkeypatch):
-    loads, globs, load, glob = [], [], cli.ctypes.CDLL, cli.Path.glob
+    loads, globs, load, glob = [], [], processes.ctypes.CDLL, processes.Path.glob
 
     def counted_load(*args, **kwargs):
         loads.append(args[0])
@@ -942,21 +973,21 @@ def test_openblas_is_looked_up_once_per_process(tmp_path, monkeypatch):
         globs.append(pattern)
         return glob(self, pattern)
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", counted_load)
-    monkeypatch.setattr(cli.Path, "glob", counted_glob)
-    cli._openblas_threads.cache_clear()
-    threads = cli._openblas_threads()
+    monkeypatch.setattr(processes.ctypes, "CDLL", counted_load)
+    monkeypatch.setattr(processes.Path, "glob", counted_glob)
+    processes._openblas_threads.cache_clear()
+    threads = processes._openblas_threads()
     after_first = len(loads), len(globs)
     assert after_first[1] == 1 and after_first[0] == (threads is not None)
     assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0,1",
                                          epochs=2)) == 0
     assert (len(loads), len(globs)) == after_first  # neither seed looked it up again
-    assert cli._openblas_threads() is threads
+    assert processes._openblas_threads() is threads
 
 
-@pytest.mark.skipif(cli._openblas_threads() is None, reason="NumPy's BLAS is not OpenBLAS")
+@pytest.mark.skipif(processes._openblas_threads() is None, reason="NumPy's BLAS is not OpenBLAS")
 def test_training_runs_on_one_blas_thread(tmp_path, monkeypatch):
-    get, put = cli._openblas_threads()
+    get, put = processes._openblas_threads()
     before, seen, run_default = get(), [], engine.run_default
 
     def reading_threads(*args, **kwargs):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import flat_vector, straight_line_forward
-from prestopping import cli, nn, rng
+from prestopping import nn, processes, rng
 
 # ----- fixtures / helpers -----
 
@@ -82,6 +82,10 @@ def test_batch_validation():
         nn.Batch([0, 1], np.zeros((3, 3)), [0, 1])
     with pytest.raises(ValueError):
         nn.Batch([0, 1], np.zeros((2, 3)), [0, -1])
+    # the one label rule: floats are not truncated, bools are not classes, no 2-D
+    for labels in ([0.9, 1.7], [True, False], [[0], [1]]):
+        with pytest.raises(ValueError, match="^labels must"):
+            nn.Batch([0, 1], np.zeros((2, 3)), labels)
 
 
 # ----- init -----
@@ -406,7 +410,7 @@ def test_blocked_evaluation_is_bitwise_the_straight_line_pass(one_thread):
     # one-row block, and desk-scale sets of several blocks
     r = nn.EVAL_ROWS
     g = rng.stream(5, "x")
-    with cli._one_blas_thread() if one_thread else contextlib.nullcontext():
+    with processes._one_blas_thread() if one_thread else contextlib.nullcontext():
         for sizes in BLOCKED_SIZES + WHOLE_SIZES:
             state = small_state(3, sizes=sizes)
             for b in state.biases:
