@@ -332,7 +332,8 @@ def execute_run(cfg: ExperimentConfig):
             except Exception as exc:
                 outcomes.append(exc)
     summaries = [o for o in outcomes if isinstance(o, metrics.RunSummary)]
-    failures = [{"seed": seed, "error": f"{type(o).__name__}: {o}"}
+    failures = [{"seed": seed, "error": f"{type(o).__name__}: {o}",
+                 "run_dir": cfg.run_dir(seed).relative_to(cfg.out).as_posix()}
                 for seed, o in zip(cfg.seeds, outcomes) if not isinstance(o, metrics.RunSummary)]
     for s in summaries:
         stop = "-" if s.stop_epoch is None else str(s.stop_epoch)
@@ -380,7 +381,7 @@ def cmd_grid_q(cfg: ExperimentConfig, grid: tuple) -> int:
         sub = replace(cfg, q=qv, out=str(Path(cfg.out) / f"q{qv}"))
         summaries, failures = execute_run(sub)
         all_summaries += summaries
-        all_failures += [{"q": qv, **f} for f in failures]
+        all_failures += [{"q": qv, **f, "run_dir": f"q{qv}/{f['run_dir']}"} for f in failures]
     aggregate = _write_aggregate(cfg.out, all_summaries, all_failures)
     by_q = {g["q"]: g for g in aggregate["groups"]}
     lines = ["q,n_runs,mean_best_test_error,se_best_test_error\n"]
@@ -395,9 +396,34 @@ def cmd_grid_q(cfg: ExperimentConfig, grid: tuple) -> int:
     return 1 if all_failures or not all_summaries else 0
 
 
+def _listed_failures(root: Path) -> list:
+    """The failures <root>/summary.json lists (none without that file)."""
+    path = root / "summary.json"
+    if not path.exists():
+        return []
+    summary = metrics.read_summary_json(path)
+    failures = summary.get("failures", []) if isinstance(summary, dict) else None
+    if not isinstance(failures, list) or not all(
+            isinstance(f, dict) and isinstance(f.get("run_dir"), str)
+            and isinstance(f.get("error"), str) for f in failures):
+        raise ValueError("failures must be a JSON list of objects with a run_dir and an error")
+    return failures
+
+
 def cmd_summarize(root: Path) -> int:
+    """Aggregate every seed<k>/summary.json under root, except the run
+    directories of the failures <root>/summary.json lists: a failed rerun left
+    an earlier run there. The failures are carried into the new summary.json."""
+    try:
+        failures = _listed_failures(root)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read {root / 'summary.json'}: {exc}", file=sys.stderr)
+        return 1
+    failed = {root / f["run_dir"] for f in failures}
     runs = []
     for path in sorted(root.rglob("seed*/summary.json")):
+        if path.parent in failed:
+            continue
         try:
             summary = metrics.read_summary_json(path)
             if not isinstance(summary, dict):
@@ -409,13 +435,13 @@ def cmd_summarize(root: Path) -> int:
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 1
+    for f in failures:
+        print(f"{root / f['run_dir']} failed: {f['error']}", file=sys.stderr)
     if not runs:
         print(f"no run summaries found under {root}", file=sys.stderr)
         return 1
-    aggregate = metrics.summarize(runs)
-    metrics.write_summary_json(aggregate, root / "summary.json")
-    print(_groups_table(aggregate["groups"]))
-    return 0
+    print(_groups_table(_write_aggregate(root, runs, failures)["groups"]))
+    return 1 if failures else 0
 
 
 # ----- argument parsing -----

@@ -3,19 +3,20 @@
 A Prestopping seed runs its Phase II in a forked child process beside
 Phase I, and scores its epochs in forked children too (train_seed). Each
 child, and each pool worker of the CLI (die_with_parent), ends with the
-process that forked it.
+process that forked it. A child's inbox spools its messages to an unlinked
+file, so the parent never waits for a child to read one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import fcntl
 import functools
 import multiprocessing
 import os
 import pickle
 import signal
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -67,23 +68,24 @@ def _one_blas_thread():
         put(before)
 
 
-# pipe capacity of a child's inbox (Linux's default ceiling for an unprivileged
-# process): the parent sends without waiting for a child still busy with an
-# earlier message, so a scorer that falls behind does not hold up training
-INBOX_BYTES = 1 << 20
+# bytes of a note, the length of one spooled message, in a child's inbox pipe
+NOTE_BYTES = 8
+# fallocate modes (linux/falloc.h): free a range's blocks, keep the file's size
+FALLOC_FL_KEEP_SIZE, FALLOC_FL_PUNCH_HOLE = 1, 2
 # niceness a child takes once it only scores, so that it yields the cores to training
 SCORING_NICENESS = 19
 PR_SET_PDEATHSIG = 1
-# this process's ends of the pipes of every running _ForkedChild, process-wide
-# because a fork copies every open descriptor: each forked child closes its
-# copies, so that it holds no end of another child's pipes
+# this process's ends of the pipes, and the spools, of every running
+# _ForkedChild, process-wide because a fork copies every open descriptor: each
+# forked child closes its copies, so that it holds no end of another child's
+# pipes and keeps no other child's spool alive
 _PARENT_ENDS: set = set()
 
 
 def die_with_parent() -> None:
     """Have the kernel SIGKILL this forked process when its parent exits.
 
-    Best effort and Linux only, like F_SETPIPE_SZ. A parent that died
+    Best effort and Linux only, like _punch_hole. A parent that died
     before the call took effect has already left this process to another
     parent, so it exits at once. Without this, a CLI killed by a signal
     would leave its children running, and pool workers writing run
@@ -97,17 +99,64 @@ def die_with_parent() -> None:
         os._exit(1)
 
 
+@functools.cache
+def _fallocate():
+    """libc's fallocate, or None; looked up once per process."""
+    with contextlib.suppress(AttributeError, OSError):
+        fallocate = ctypes.CDLL(None).fallocate
+        fallocate.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_long, ctypes.c_long]
+        fallocate.restype = ctypes.c_int
+        return fallocate
+    return None
+
+
+def _punch_hole(fd: int, offset: int, length: int) -> None:
+    """Free the blocks of fd's file that lie wholly in [offset, offset + length);
+    the file keeps its size and reads zeros there. Best effort and Linux only
+    (FALLOC_FL_PUNCH_HOLE): elsewhere the blocks stay until the file is closed."""
+    if (fallocate := _fallocate()) is not None:
+        fallocate(fd, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE, offset, length)
+
+
+class _Inbox:
+    """A child's end of its inbox: recv() returns the parent's messages in the
+    order sent, and raises EOFError once the parent has closed its end.
+
+    Each message lies pickled in the spool, an unlinked file, right after the
+    one before it; the notes pipe carries only its length. recv() punches
+    each message it reads out of the spool, so the spool's blocks hold only
+    the messages not yet read.
+    """
+
+    def __init__(self, notes, spool):
+        self._notes, self._spool = notes, spool
+        self._read = 0
+        self._block = os.fstat(spool.fileno()).st_blksize
+
+    def recv(self):
+        note = self._notes.read(NOTE_BYTES)
+        if len(note) < NOTE_BYTES:
+            raise EOFError
+        size = int.from_bytes(note, "little")
+        message = pickle.loads(os.pread(self._spool.fileno(), size, self._read))
+        # from the start of the block the previous message ended in: only now is it wholly read
+        freed = self._read - self._read % self._block
+        self._read += size
+        _punch_hole(self._spool.fileno(), freed, self._read - freed)
+        return message
+
+
 def _child_main(result_end, inbox, body, args) -> None:
     """Forked child: runs body(hand_over, inbox, *args) and sends (outcome, warnings)
     over result_end.
 
     outcome is body's return value or the exception it raised; the warnings
     it issued are re-issued by the parent. hand_over(value) sends value, and
-    the warnings issued so far, before the outcome. inbox is the read end of
-    the pipe the parent's send() feeds. The child closes its copies of
-    _PARENT_ENDS, its own inbox's write end among them, so the parent
-    closing its end reads as EOF here, and no other child's inbox waits on
-    this one.
+    the warnings issued so far, before the outcome. inbox is the _Inbox the
+    parent's send() feeds. The child closes its copies of _PARENT_ENDS, its
+    own inbox's write end among them, so the parent closing its end reads as
+    EOF here, no other child's inbox waits on this one, and this one keeps no
+    other child's spool alive.
     """
     die_with_parent()
     for end in _PARENT_ENDS:
@@ -130,6 +179,14 @@ def _child_main(result_end, inbox, body, args) -> None:
         send(outcome)
 
 
+def _close(*ends) -> None:
+    """Close those of this process's ends that are open, and drop them from _PARENT_ENDS."""
+    for end in ends:
+        if end is not None:
+            end.close()
+            _PARENT_ENDS.discard(end)
+
+
 class _ForkedChild:
     """At most one forked child process of one seed, whose result comes back over a pipe.
 
@@ -140,35 +197,44 @@ class _ForkedChild:
 
     def __init__(self, seed: int, what: str):
         self.seed, self.what = seed, what
-        self._proc = self._conn = self._inbox = None
+        self._proc = self._conn = self._inbox = self._spool = None
 
     def start(self, body, *args) -> None:
         """Kill and reap the running child, if any, then fork one running
         body(hand_over, inbox, *args).
 
         handover() returns the value passed to hand_over before result()
-        returns body's. inbox is the read end of a pipe that send() feeds; it
-        reads EOF once result() is called.
+        returns body's. inbox is an _Inbox: its recv() returns each message
+        send() sent, in order, and raises EOFError once result() is called.
         """
         self.stop()
         fork = multiprocessing.get_context("fork")
         self._conn, result_end = fork.Pipe(duplex=False)
-        reader, self._inbox = fork.Pipe(duplex=False)
+        reader, writer = os.pipe()
+        self._inbox = open(writer, "wb", buffering=0)
         _PARENT_ENDS.update((self._conn, self._inbox))
+        self._spool, self._sent = tempfile.TemporaryFile(buffering=0), 0
+        notes = open(reader, "rb")
         self._proc = fork.Process(target=_child_main, name=f"{self.what} of seed {self.seed}",
-                                  args=(result_end, reader, body, args))
+                                  args=(result_end, _Inbox(notes, self._spool), body, args))
         self._proc.start()
         # the child holds the only other ends: its death reads as EOF, and
         # sending to a dead child raises BrokenPipeError
         result_end.close()
-        reader.close()
-        with contextlib.suppress(AttributeError, OSError):  # Linux only, best effort
-            fcntl.fcntl(self._inbox.fileno(), fcntl.F_SETPIPE_SZ, INBOX_BYTES)
+        notes.close()
+        # only now: this child keeps its copy of the spool, children forked later close theirs
+        _PARENT_ENDS.add(self._spool)
 
     def send(self, message) -> None:
-        """Send message to the child's inbox; a child that stopped reading fails as in result()."""
+        """Spool message for the child's inbox without waiting for the child to
+        read it; a child that stopped reading fails as in result()."""
+        data = pickle.dumps(message)
+        rest = memoryview(data)
+        while rest:  # a write cut short by a full disk raises on the retry
+            written = os.pwrite(self._spool.fileno(), rest, self._sent)
+            rest, self._sent = rest[written:], self._sent + written
         try:
-            self._inbox.send(message)
+            self._inbox.write(len(data).to_bytes(NOTE_BYTES, "little"))
         except BrokenPipeError:
             self.result()
             raise
@@ -178,11 +244,8 @@ class _ForkedChild:
         if self._proc is not None:
             self._proc.kill()
             self._proc.join()
-            for end in (self._conn, self._inbox):
-                if end is not None:
-                    end.close()
-                    _PARENT_ENDS.discard(end)
-            self._proc = self._conn = self._inbox = None
+            _close(self._conn, self._inbox, self._spool)
+            self._proc = self._conn = self._inbox = self._spool = None
 
     def handover(self):
         """Wait for the value the child hands over; it fails as in result()."""
@@ -190,10 +253,8 @@ class _ForkedChild:
 
     def result(self):
         """Close the inbox, then wait for the child: body's return value, or its exception."""
-        if self._inbox is not None:
-            self._inbox.close()
-            _PARENT_ENDS.discard(self._inbox)
-            self._inbox = None
+        _close(self._inbox, self._spool)
+        self._inbox = self._spool = None
         outcome = self._receive()
         self._proc.join()
         return outcome

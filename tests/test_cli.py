@@ -2,13 +2,15 @@
 
 import contextlib
 import dataclasses
-import fcntl
 import json
 import multiprocessing
 import os
+import pickle
+import select
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -364,7 +366,8 @@ def test_failing_seed_does_not_stop_others(tmp_path, monkeypatch, capsys, jobs, 
     assert rc == 1
     summary = metrics.read_summary_json(tmp_path / "summary.json")
     assert [r["seed"] for r in summary["runs"]] == [0, 2]
-    assert summary["failures"] == [{"seed": 1, "error": failure}]
+    assert summary["failures"] == [{"seed": 1, "error": failure,
+                                    "run_dir": "prestopping/pair_0.3/seed1"}]
     assert f"seed 1 failed: {failure}\n" in capsys.readouterr().err
 
 
@@ -510,6 +513,52 @@ def test_summarize_names_unreadable_summary(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["summarize", "--dir", str(tmp_path)]) == 1
         assert f"cannot read {broken}: {field} must be" in capsys.readouterr().err
+
+
+def test_summarize_skips_a_seed_whose_rerun_failed(tmp_path, monkeypatch, capsys):
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default")) == 0
+    real = processes.train_seed
+
+    def failing(cfg, seed, *args):
+        if seed == 0:
+            raise RuntimeError("boom")
+        return real(cfg, seed, *args)
+
+    monkeypatch.setattr(processes, "train_seed", failing)
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default")) == 1
+    monkeypatch.undo()
+    failure = {"seed": 0, "error": "RuntimeError: boom", "run_dir": "default/pair_0.3/seed0"}
+    assert metrics.read_summary_json(tmp_path / "summary.json")["failures"] == [failure]
+    assert (tmp_path / "default" / "pair_0.3" / "seed0" / "summary.json").exists()  # earlier run
+    for _ in range(2):  # the failures it carries over skip the same directory again
+        capsys.readouterr()
+        assert cli.main(["summarize", "--dir", str(tmp_path)]) == 1
+        summary = metrics.read_summary_json(tmp_path / "summary.json")
+        assert [r["seed"] for r in summary["runs"]] == [1]
+        assert summary["groups"][0]["n_runs"] == 1 and summary["failures"] == [failure]
+        err = capsys.readouterr().err
+        assert err == f"{tmp_path / 'default' / 'pair_0.3' / 'seed0'} failed: RuntimeError: boom\n"
+
+
+def test_grid_q_failures_name_their_run_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(processes, "train_seed", lambda *args: 1 / 0)
+    assert cli.main(["grid-q"] + tiny_flags(tmp_path, seeds="0") + ["--grid", "1,2"]) == 1
+    failures = metrics.read_summary_json(tmp_path / "summary.json")["failures"]
+    assert [f["run_dir"] for f in failures] == ["q1/prestopping/pair_0.3/seed0",
+                                                "q2/prestopping/pair_0.3/seed0"]
+    assert metrics.read_summary_json(tmp_path / "q2" / "summary.json")["failures"] == \
+        [{"seed": 0, "error": "ZeroDivisionError: division by zero",
+          "run_dir": "prestopping/pair_0.3/seed0"}]
+
+
+def test_summarize_names_unreadable_failures(tmp_path, capsys):
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0")) == 0
+    for failures in ('5', '[{"seed": 0, "error": "x"}]', '[{"run_dir": 3, "error": "x"}]'):
+        (tmp_path / "summary.json").write_text(f'{{"runs": [], "failures": {failures}}}')
+        capsys.readouterr()
+        assert cli.main(["summarize", "--dir", str(tmp_path)]) == 1
+        assert f"cannot read {tmp_path / 'summary.json'}: failures must be" in \
+            capsys.readouterr().err
 
 
 def test_summarize_empty_dir_fails(tmp_path, capsys):
@@ -891,15 +940,102 @@ def test_send_to_a_dead_child_names_seed_and_exit_code():
     child.stop()
 
 
-@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe capacity is fixed here")
+def received(inbox) -> list:
+    """Every message of inbox, until the parent closes it."""
+    messages = []
+    with contextlib.suppress(EOFError):
+        while True:
+            messages.append(inbox.recv())
+    return messages
+
+
 def test_sends_do_not_wait_for_a_busy_child():
     child = processes._ForkedChild(0, "scorer process")
     child.start(lambda hand_over, inbox: time.sleep(60))
     t0 = time.perf_counter()
-    for _ in range(8):
+    for _ in range(64):  # about 5.6 MB, past the 1 MiB a pipe holds at most
         child.send(np.zeros(11_000))  # about one desk-scale parameter vector
-    assert time.perf_counter() - t0 < 10  # buffered, not read: the child never reads
+    assert time.perf_counter() - t0 < 10  # spooled, not read: the child never reads
     child.stop()
+
+
+def test_a_child_reading_late_gets_every_message_intact_and_in_order():
+    messages = [(i, np.random.default_rng(i).random(11_000)) for i in range(64)]
+    go_read, go_write = os.pipe()
+
+    def body(hand_over, inbox):
+        # wait until the parent has sent every message; a parent still blocked
+        # in send after 30 s finds this child gone
+        if not select.select([go_read], [], [], 30)[0]:
+            return "never told to read"
+        return [(i, np.array_equal(values, messages[i][1])) for i, values in received(inbox)]
+
+    child = processes._ForkedChild(0, "scorer process")
+    try:
+        child.start(body)
+        for message in messages:
+            child.send(message)
+        os.write(go_write, b"x")
+        assert child.result() == [(i, True) for i in range(64)]
+    finally:
+        child.stop()
+        os.close(go_read)
+        os.close(go_write)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+def test_a_second_child_holds_no_descriptor_on_the_first_childs_spool():
+    def files_held(hand_over, inbox):
+        held = set()
+        for fd in os.listdir("/proc/self/fd"):
+            with contextlib.suppress(OSError):  # the directory listing's own descriptor
+                stat = os.fstat(int(fd))
+                held.add((stat.st_dev, stat.st_ino))
+        return held
+
+    first = processes._ForkedChild(0, "scorer process")
+    second = processes._ForkedChild(0, "Phase II process")
+    try:
+        first.start(lambda hand_over, inbox: time.sleep(60))
+        second.start(files_held)
+        spools = [os.fstat(child._spool.fileno()) for child in (first, second)]
+        held = second.result()
+        assert [(s.st_dev, s.st_ino) in held for s in spools] == [False, True]
+    finally:
+        first.stop()
+        second.stop()
+
+
+def punches_holes() -> bool:
+    with tempfile.TemporaryFile() as spool:
+        spool.write(bytes(1 << 20))
+        spool.flush()
+        before = os.fstat(spool.fileno()).st_blocks
+        processes._punch_hole(spool.fileno(), 0, 1 << 20)
+        return os.fstat(spool.fileno()).st_blocks < before
+
+
+@pytest.mark.skipif(not punches_holes(), reason="no hole punching here")
+def test_the_spool_keeps_only_unread_messages():
+    message = np.zeros(11_000)
+
+    def body(hand_over, inbox):
+        for _ in range(64):
+            inbox.recv()
+        hand_over("read")
+        return received(inbox)
+
+    child = processes._ForkedChild(0, "scorer process")
+    try:
+        child.start(body)
+        for _ in range(64):
+            child.send(message)
+        assert child.handover() == "read"
+        allocated = os.fstat(child._spool.fileno()).st_blocks * 512
+        assert allocated <= 2 * len(pickle.dumps(message))  # of 64 messages sent
+        assert child.result() == []
+    finally:
+        child.stop()
 
 
 @pytest.mark.parametrize("hand_over_first", [False, True], ids=["raise", "hand-over-then-raise"])
