@@ -305,8 +305,13 @@ def run_single(cfg: ExperimentConfig, seed: int) -> metrics.RunSummary:
     return summary
 
 
-def _write_aggregate(out, summaries, failures) -> dict:
-    """Write <out>/summary.json: the runs, their groups and the failures; returns it."""
+def _write_aggregate(out, summaries, failures, written=()) -> dict:
+    """Write <out>/summary.json: the runs, their groups and the failures, after
+    the earlier file's failures but for the run directories written or failed
+    anew (a seed not rerun stays failed); returns it."""
+    anew = set(written) | {f["run_dir"] for f in failures}
+    with contextlib.suppress(OSError, ValueError):  # an unreadable earlier file is replaced
+        failures = [f for f in _listed_failures(Path(out)) if f["run_dir"] not in anew] + failures
     aggregate = metrics.summarize(summaries) if summaries else {"runs": [], "groups": []}
     aggregate["failures"] = failures
     Path(out).mkdir(parents=True, exist_ok=True)
@@ -343,7 +348,8 @@ def execute_run(cfg: ExperimentConfig):
     for f in failures:
         print(f"{cfg.method} {cfg.noise_dir} q={cfg.q}: seed {f['seed']} failed: "
               f"{f['error']}", file=sys.stderr)
-    _write_aggregate(cfg.out, summaries, failures)
+    _write_aggregate(cfg.out, summaries, failures,
+                     [cfg.run_dir(s.seed).relative_to(cfg.out).as_posix() for s in summaries])
     return summaries, failures
 
 
@@ -376,13 +382,14 @@ def cmd_grid_q(cfg: ExperimentConfig, grid: tuple) -> int:
             or any(not 1 <= qv <= memorization.MAX_Q for qv in grid):
         raise ConfigError(f"grid: history lengths must be distinct and lie in "
                           f"[1, {memorization.MAX_Q}], got {grid}")
-    all_summaries, all_failures = [], []
+    all_summaries, all_failures, written = [], [], []
     for qv in grid:
         sub = replace(cfg, q=qv, out=str(Path(cfg.out) / f"q{qv}"))
         summaries, failures = execute_run(sub)
         all_summaries += summaries
         all_failures += [{"q": qv, **f, "run_dir": f"q{qv}/{f['run_dir']}"} for f in failures]
-    aggregate = _write_aggregate(cfg.out, all_summaries, all_failures)
+        written += [sub.run_dir(s.seed).relative_to(cfg.out).as_posix() for s in summaries]
+    aggregate = _write_aggregate(cfg.out, all_summaries, all_failures, written)
     by_q = {g["q"]: g for g in aggregate["groups"]}
     lines = ["q,n_runs,mean_best_test_error,se_best_test_error\n"]
     for qv in sorted(grid):

@@ -96,14 +96,6 @@ class PredictionHistory:
         counts = self._counts if indices is None else self._counts[self._checked(indices)]
         return counts.astype(np.int64)
 
-    def _recount(self) -> None:
-        """Rebuild the label counts from the rings."""
-        n, k = self.n_samples, self.n_classes
-        valid = np.arange(self.q)[None, :] < self._fill[:, None]  # ring order irrelevant
-        cells = np.arange(n)[:, None] * k + self._buf  # flat (row, label) cell
-        counts = np.bincount(cells[valid], minlength=n * k)
-        self._counts = counts.reshape(n, k).astype(np.uint8)
-
     def label_probability(self, index: int, label: int) -> float:
         """Frequency of label in the sample's history; error when history is empty."""
         label = check_labels([label], self.n_classes, "label")[0]
@@ -177,6 +169,8 @@ class PredictionHistory:
             hist = cls(n, q, n_classes)
         except ValueError as exc:
             raise ValueError(f"{path}: bad header: {exc}") from None
+        lengths = np.zeros(n, dtype=np.int64)
+        table = np.zeros((n, q), dtype=np.uint8)  # row i: sample i's labels, oldest first
         off = 13
         for i in range(n):
             if off >= len(raw) or off + 1 + raw[off] > len(raw):
@@ -190,13 +184,13 @@ class PredictionHistory:
             if seq and max(seq) >= n_classes:
                 raise ValueError(f"{path}: sample {i} has label {max(seq)} "
                                  f">= n_classes {n_classes}")
-            # what recording the labels one by one into an empty buffer leaves
-            hist._buf[i, :length] = np.frombuffer(seq, dtype=np.uint8)
-            hist._fill[i] = length
-            hist._pos[i] = length % q
+            table[i, :length] = np.frombuffer(seq, dtype=np.uint8)
+            lengths[i] = length
         if off != len(raw):
             raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
-        hist._recount()
+        for j in range(q):  # one recording call per slot, over the samples that stored one
+            indices = np.flatnonzero(lengths > j)
+            hist.record_batch(indices, table[indices, j])
         return hist
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -282,39 +283,37 @@ def _epoch(ctx: engine.EpochContext) -> tuple:
 def _scored(collector: metrics.MetricsCollector, net_spec, epochs):
     """At low priority, feed collector, a fresh one, each _epoch of epochs.
 
-    Returns its rows, its histogram and the phase of the epoch that captured
-    the histogram (None without one). Each state is rebuilt with a zero
+    Returns its rows and its histogram. Each state is rebuilt with a zero
     velocity and each context carries no histories: no score reads either.
     """
     os.nice(SCORING_NICENESS)
-    captured = None
     for phase, number, lr, validation_error, params, memorized in epochs:
         state = nn.NetworkState(net_spec, params, np.zeros_like(params))
         collector(engine.EpochContext(phase, number, state, None, memorized, lr,
                                       validation_error))
-        if captured is None and collector.histogram is not None:
-            captured = phase
-    return collector.rows, collector.histogram, captured
+    return collector.rows, collector.histogram
+
+
+def _received(inbox):
+    """Each message of inbox, until EOF."""
+    with contextlib.suppress(EOFError):
+        while True:
+            yield inbox.recv()
 
 
 def _score_epochs(hand_over, inbox, net_spec, collector):
     """Scorer body: _scored on one _epoch per inbox message, until EOF."""
-    def received():
-        while True:
-            try:
-                yield inbox.recv()
-            except EOFError:
-                return
-    return _scored(collector, net_spec, received())
+    return _scored(collector, net_spec, _received(inbox))
 
 
 def _phase2_body(hand_over, inbox, ckpt, view, opt, seed, collector):
     """Phase II child body: hands over (state, safe mask, histories) as soon as
-    Phase II has trained, then returns _scored on its epochs."""
+    Phase II has trained, then returns _scored on its epochs followed by one
+    _epoch per inbox message, until EOF."""
     kept = []
     hand_over(engine.phase2_train(ckpt, view, opt, seed,
                                   observer=lambda ctx: kept.append(_epoch(ctx))))
-    return _scored(collector, ckpt.state.spec, kept)
+    return _scored(collector, ckpt.state.spec, itertools.chain(kept, _received(inbox)))
 
 
 def train_seed(cfg, seed: int, train_ds, val_view, collector):
@@ -322,14 +321,15 @@ def train_seed(cfg, seed: int, train_ds, val_view, collector):
 
     A Prestopping seed is engine.run_prestopping with Phase II run beside the
     rest of Phase I, and no epoch scored in this process. A scorer child,
-    forked before Phase I, scores Phase I's and the retrain's epochs as this
-    process sends them. Each checkpoint Phase I takes restarts Phase II from
-    it in a child, so Phase II from the final checkpoint overlaps Phase I's
-    remaining epochs; the retrain starts as soon as that child hands over its
-    result, and the child then scores its own epochs. Rows and histogram are
-    merged in the serial observer order (Phase I, Phase II, retrain), so
-    every output is byte-identical to the serial run's. cfg, the CLI's
-    ExperimentConfig, is read by attribute.
+    forked before Phase I, scores Phase I's epochs as this process sends
+    them. Each checkpoint Phase I takes restarts Phase II from it in a child,
+    so Phase II from the final checkpoint overlaps Phase I's remaining
+    epochs; the retrain starts as soon as that child hands over its result,
+    and the child then scores its own epochs and the retrain's, as this
+    process sends them. Each child's rows are thus one stretch of the serial
+    observer order (Phase I, Phase II, retrain): concatenated, with the first
+    histogram captured, every output is byte-identical to the serial run's.
+    cfg, the CLI's ExperimentConfig, is read by attribute.
     """
     view = train_ds.train_view()
     net = cfg.net_spec(view.features.shape[1], view.n_classes)
@@ -342,27 +342,22 @@ def train_seed(cfg, seed: int, train_ds, val_view, collector):
         fresh = metrics.MetricsCollector(collector.train_ds, collector.test_view)
         scorer = _ForkedChild(seed, "scorer process")
         phase2 = _ForkedChild(seed, "Phase II process")
-
-        def send(ctx):
-            scorer.send(_epoch(ctx))
-
         try:
             scorer.start(_score_epochs, net, fresh)
             ckpt = engine.phase1_train(
-                view, heur, net, opt, cfg.q, seed, send,
+                view, heur, net, opt, cfg.q, seed, lambda ctx: scorer.send(_epoch(ctx)),
                 on_checkpoint=lambda c: phase2.start(_phase2_body, c, view, opt, seed, fresh))
             result = engine.PrestopResult(ckpt, *phase2.handover())
             plus = None
             if cfg.method == "prestopping_plus":
-                plus = refurbish.run_prestopping_plus(view, result.safe_set, net, opt, cfg.q,
-                                                      cfg.epsilon, seed, observer=send)
-            phase2_rows, phase2_histogram, _ = phase2.result()
-            rows, histogram, captured = scorer.result()
+                plus = refurbish.run_prestopping_plus(
+                    view, result.safe_set, net, opt, cfg.q, cfg.epsilon, seed,
+                    observer=lambda ctx: phase2.send(_epoch(ctx)))
+            phase2_rows, phase2_histogram = phase2.result()
+            rows, histogram = scorer.result()
         finally:
             scorer.stop()
             phase2.stop()
-    phase1 = sum(r.phase == "phase1" for r in rows)
-    collector.rows += rows[:phase1] + phase2_rows + rows[phase1:]
-    collector.histogram = histogram if captured == "phase1" or phase2_histogram is None \
-        else phase2_histogram
+    collector.rows += rows + phase2_rows
+    collector.histogram = phase2_histogram if histogram is None else histogram
     return result, plus

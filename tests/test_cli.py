@@ -538,6 +538,18 @@ def test_summarize_skips_a_seed_whose_rerun_failed(tmp_path, monkeypatch, capsys
         assert summary["groups"][0]["n_runs"] == 1 and summary["failures"] == [failure]
         err = capsys.readouterr().err
         assert err == f"{tmp_path / 'default' / 'pair_0.3' / 'seed0'} failed: RuntimeError: boom\n"
+    # a later run of the other seed alone keeps seed 0's failure, and speaks only of seed 1
+    capsys.readouterr()
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="1")) == 0
+    assert capsys.readouterr().err == ""
+    assert metrics.read_summary_json(tmp_path / "summary.json")["failures"] == [failure]
+    assert cli.main(["summarize", "--dir", str(tmp_path)]) == 1
+    assert metrics.read_summary_json(tmp_path / "summary.json")["groups"][0]["n_runs"] == 1
+    # a successful rerun of seed 0 drops it
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="default", seeds="0")) == 0
+    assert metrics.read_summary_json(tmp_path / "summary.json")["failures"] == []
+    assert cli.main(["summarize", "--dir", str(tmp_path)]) == 0
+    assert metrics.read_summary_json(tmp_path / "summary.json")["groups"][0]["n_runs"] == 2
 
 
 def test_grid_q_failures_name_their_run_dir(tmp_path, monkeypatch, capsys):
@@ -549,6 +561,12 @@ def test_grid_q_failures_name_their_run_dir(tmp_path, monkeypatch, capsys):
     assert metrics.read_summary_json(tmp_path / "q2" / "summary.json")["failures"] == \
         [{"seed": 0, "error": "ZeroDivisionError: division by zero",
           "run_dir": "prestopping/pair_0.3/seed0"}]
+    # a later sweep of q=1 alone succeeds and keeps only q=2's failure
+    monkeypatch.undo()
+    assert cli.main(["grid-q"] + tiny_flags(tmp_path, seeds="0") + ["--grid", "1"]) == 0
+    assert [f["run_dir"] for f in metrics.read_summary_json(tmp_path / "summary.json")
+            ["failures"]] == ["q2/prestopping/pair_0.3/seed0"]
+    assert metrics.read_summary_json(tmp_path / "q1" / "summary.json")["failures"] == []
 
 
 def test_summarize_names_unreadable_failures(tmp_path, capsys):
@@ -863,7 +881,7 @@ def test_scored_retrain_is_byte_identical_to_serial(tmp_path, monkeypatch, histo
     capture = next(r for r in serial.rows if r.phase == histogram_phase and r.train_error < 0.5)
     assert serial.histogram.epoch == capture.epoch
     assert [r.phase for r in serial.rows].count("plus") == cfg.epochs
-    # the scorer also captures one in the retrain, which the merge must drop
+    # the Phase II process also captures one in the retrain, which the merge must drop
     assert any(r.phase == "plus" and r.train_error < 0.5 for r in serial.rows)
     assert scored_result.checkpoint.epoch == result.checkpoint.epoch
     assert scored_result.safe_set.tobytes() == result.safe_set.tobytes()
@@ -921,6 +939,19 @@ def test_parent_makes_no_evaluation_during_the_retrain(tmp_path, monkeypatch):
     assert [r.phase for r in rows].count("plus") == 5  # scored, by the child
     assert {r.phase for r in rows} == set(PHASES)
     assert calls == [(False, 30)] * 5  # one per Phase I epoch
+
+
+def test_each_child_is_sent_one_stretch_of_epochs(tmp_path, monkeypatch):
+    sent, send = [], processes._ForkedChild.send
+
+    def recorded(self, message):
+        sent.append((self.what, message[0]))
+        send(self, message)
+
+    monkeypatch.setattr(processes._ForkedChild, "send", recorded)
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="prestopping_plus", seeds="0")) == 0
+    # Phase II's own epochs never cross: its process keeps them
+    assert sent == [("scorer process", "phase1")] * 5 + [("Phase II process", "plus")] * 5
 
 
 def test_scorer_death_names_seed_and_exit_code(tmp_path, monkeypatch, capsys):
