@@ -125,8 +125,13 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
     nn._check_features(view.features, state.spec)
     batches = _make_batches(n, config.batch_size, rng.stream(seed, "shuffle", epoch))
     order = np.concatenate(batches)
-    features, labels = view.features[order], labels[order]
-    member = None if member is None else member[order]
+    # gathered onto nn.ALIGN-byte boundaries; order is a permutation, so no index is
+    # clipped, and mode="raise" would gather into a temporary first
+    features = np.take(view.features, order, axis=0, mode="clip",
+                       out=nn.aligned_empty(view.features.shape))
+    labels = labels[order]
+    if member is not None:
+        member = np.take(member, order, mode="clip", out=nn.aligned_empty(n, bool))
     kernel = nn._TrainKernel(state, min(config.batch_size, n), config.lr_at(epoch))
     preds = np.empty(n, dtype=np.intp)
     updated = False

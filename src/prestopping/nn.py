@@ -27,6 +27,7 @@ from .data import check_labels
 
 CHECKPOINT_MAGIC = b"PSTP1"
 EVAL_ROWS = 512  # most rows per block of an evaluation pass's hidden layers
+ALIGN = 64  # byte boundary every array of a training step starts on (aligned_empty)
 
 
 # ----- configuration types -----
@@ -103,6 +104,27 @@ class Batch:
             raise ValueError("batch indices must be distinct")
 
 
+def aligned_empty(shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised C-contiguous array whose data starts on an ALIGN-byte boundary.
+
+    Over-allocates by ALIGN bytes and slices from the first boundary. The
+    training step's arrays all come from here (state vectors, kernel
+    buffers, train_epoch's gathered rows), so its speed does not depend on
+    where malloc left them; no value depends on the boundary.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = np.empty(nbytes + ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
+def _aligned_copy(a: np.ndarray) -> np.ndarray:
+    out = aligned_empty(a.shape, a.dtype)
+    out[...] = a
+    return out
+
+
 def _n_params(spec: NetworkSpec) -> int:
     return sum(fan_in * fan_out + fan_out
                for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]))
@@ -146,7 +168,8 @@ class NetworkState:
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the views; pickled views would be loose copies
-        return NetworkState, (self.spec, self.params.copy(), self.velocity.copy())
+        return NetworkState, (self.spec, _aligned_copy(self.params),
+                              _aligned_copy(self.velocity))
 
     @property
     def n_layers(self) -> int:
@@ -156,7 +179,11 @@ class NetworkState:
 def init_state(spec: NetworkSpec, rng: np.random.Generator) -> NetworkState:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases and momentum."""
     count = _n_params(spec)
-    state = NetworkState(spec, np.zeros(count), np.zeros(count))
+    # two allocations, not one split in two: the first vector need not end on a boundary
+    params, velocity = aligned_empty(count), aligned_empty(count)
+    params.fill(0.0)
+    velocity.fill(0.0)
+    state = NetworkState(spec, params, velocity)
     for w in state.weights:  # one draw per layer, in layer order: the bytes depend on it
         fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -251,7 +278,7 @@ def _softmax_ce(logits, labels=None, m=None, s=None, row_max=None):
     picked = None if labels is None else logits[np.arange(len(labels)), labels]
     logits -= m
     np.exp(logits, out=logits)
-    s = logits.sum(axis=1, keepdims=True, out=s)
+    s = np.add.reduce(logits, axis=1, keepdims=True, out=s)  # logits.sum, without its wrapper
     logits /= s
     if labels is None:
         return None
@@ -269,8 +296,9 @@ class _TrainKernel:
     """Buffers and LR of the batch steps on one state: train_epoch builds one per epoch.
 
     Each step writes its layer outputs, deltas, ReLU masks, row max and row
-    sums, its gradient and lr * velocity into arrays allocated here for
-    batches of up to `rows` rows; a shorter batch uses their leading rows.
+    sums, its gradient and lr * velocity into arrays allocated here, each on
+    an ALIGN-byte boundary, for batches of up to `rows` rows; a shorter batch
+    uses their leading rows.
     The gradient and probabilities a step returns are overwritten by the
     next step. Every product keeps the operands and shape of a plain a @ b,
     so each value is bitwise that of an allocating pass. loss_grad_probs
@@ -280,14 +308,15 @@ class _TrainKernel:
     def __init__(self, state: NetworkState, rows: int, lr: float | None = None):
         widths = state.spec.layer_sizes[1:]
         self.lr = lr
-        self.grad = np.empty_like(state.params)
+        self.grad = aligned_empty(state.params.shape)
         self.grad_w, self.grad_b = _layer_views(state.spec, self.grad)
         self.weights_t = [w.T for w in state.weights]
-        self.update = np.empty_like(state.params)
-        self._full = ([np.empty((rows, w)) for w in widths],                   # layer outputs
-                      [np.empty((rows, w)) for w in widths],                   # deltas
-                      [np.empty((rows, w), dtype=bool) for w in widths[:-1]],  # ReLU masks
-                      np.empty((rows, 1)), np.empty((rows, 1)), np.arange(rows))
+        self.update = aligned_empty(state.params.shape)
+        self._full = ([aligned_empty((rows, w)) for w in widths],             # layer outputs
+                      [aligned_empty((rows, w)) for w in widths],             # deltas
+                      [aligned_empty((rows, w), bool) for w in widths[:-1]],  # ReLU masks
+                      aligned_empty((rows, 1)), aligned_empty((rows, 1)),
+                      _aligned_copy(np.arange(rows)))
         self._cut = {}
 
     def rows(self, n: int) -> tuple:
@@ -314,7 +343,7 @@ def _backprop(acts, deltas, masks, kernel: _TrainKernel) -> np.ndarray:
     delta = deltas[-1]
     for layer in reversed(range(len(acts))):
         np.matmul(acts[layer].T, delta, out=kernel.grad_w[layer])
-        delta.sum(axis=0, out=kernel.grad_b[layer])
+        np.add.reduce(delta, axis=0, out=kernel.grad_b[layer])  # delta.sum, without its wrapper
         if layer > 0:
             # acts[layer] > 0 is the ReLU mask of this layer's preactivation
             delta = np.matmul(delta, kernel.weights_t[layer], out=deltas[layer - 1])
@@ -360,7 +389,7 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
     probs = acts.pop()  # logits until _softmax_ce overwrites them
     per_sample = _softmax_ce(probs, labels if reference else None, m, s, row_max)
     delta = deltas[-1]
-    np.copyto(delta, probs)
+    delta[...] = probs
     delta[rows, labels] -= 1.0
     if sample_mask is not None:
         delta *= sample_mask[:, None]
@@ -449,4 +478,4 @@ def load_network(path) -> NetworkState:
         raise ValueError(f"{path}: expected {16 * count} bytes of parameters and momentum "
                          f"after the header, got {len(raw) - off}")
     body = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=off)
-    return NetworkState(spec, body[:count].copy(), body[count:].copy())
+    return NetworkState(spec, _aligned_copy(body[:count]), _aligned_copy(body[count:]))

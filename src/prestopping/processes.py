@@ -206,7 +206,8 @@ class _ForkedChild:
 
         handover() returns the value passed to hand_over before result()
         returns body's. inbox is an _Inbox: its recv() returns each message
-        send() sent, in order, and raises EOFError once result() is called.
+        send() sent, in order, and raises EOFError once close() or result()
+        is called.
         """
         self.stop()
         fork = multiprocessing.get_context("fork")
@@ -252,10 +253,15 @@ class _ForkedChild:
         """Wait for the value the child hands over; it fails as in result()."""
         return self._receive()
 
-    def result(self):
-        """Close the inbox, then wait for the child: body's return value, or its exception."""
+    def close(self) -> None:
+        """Close the inbox: the child's recv() raises EOFError once it has read
+        every message sent. Nothing can be sent after this."""
         _close(self._inbox, self._spool)
         self._inbox = self._spool = None
+
+    def result(self):
+        """Close the inbox, then wait for the child: body's return value, or its exception."""
+        self.close()
         outcome = self._receive()
         self._proc.join()
         return outcome
@@ -322,7 +328,8 @@ def train_seed(cfg, seed: int, train_ds, val_view, collector):
     A Prestopping seed is engine.run_prestopping with Phase II run beside the
     rest of Phase I, and no epoch scored in this process. A scorer child,
     forked before Phase I, scores Phase I's epochs as this process sends
-    them. Each checkpoint Phase I takes restarts Phase II from it in a child,
+    them; its inbox closes when Phase I returns, so it exits once they are
+    scored. Each checkpoint Phase I takes restarts Phase II from it in a child,
     so Phase II from the final checkpoint overlaps Phase I's remaining
     epochs; the retrain starts as soon as that child hands over its result,
     and the child then scores its own epochs and the retrain's, as this
@@ -347,6 +354,7 @@ def train_seed(cfg, seed: int, train_ds, val_view, collector):
             ckpt = engine.phase1_train(
                 view, heur, net, opt, cfg.q, seed, lambda ctx: scorer.send(_epoch(ctx)),
                 on_checkpoint=lambda c: phase2.start(_phase2_body, c, view, opt, seed, fresh))
+            scorer.close()  # its last epoch is sent: it scores its backlog and exits
             result = engine.PrestopResult(ckpt, *phase2.handover())
             plus = None
             if cfg.method == "prestopping_plus":

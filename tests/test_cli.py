@@ -954,6 +954,26 @@ def test_each_child_is_sent_one_stretch_of_epochs(tmp_path, monkeypatch):
     assert sent == [("scorer process", "phase1")] * 5 + [("Phase II process", "plus")] * 5
 
 
+def test_the_scorer_is_done_with_before_the_retrain(tmp_path, monkeypatch):
+    children, start = {}, processes._ForkedChild.start
+    retrain, seen = refurbish.run_prestopping_plus, []
+
+    def recorded(self, body, *args):
+        children[self.what] = self
+        start(self, body, *args)
+
+    def checked(*args, **kw):
+        scorer = children["scorer process"]
+        # nothing reaches the scorer after Phase I: it scores its backlog and sends its result
+        seen.append((scorer._inbox is None, scorer._conn.poll(30)))
+        return retrain(*args, **kw)
+
+    monkeypatch.setattr(processes._ForkedChild, "start", recorded)
+    monkeypatch.setattr(refurbish, "run_prestopping_plus", checked)
+    assert cli.main(["run"] + tiny_flags(tmp_path, method="prestopping_plus", seeds="0")) == 0
+    assert seen == [(True, True)]
+
+
 def test_scorer_death_names_seed_and_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(processes, "_score_epochs", lambda *args: os._exit(3))
     assert failed_seed(tmp_path, capsys, "prestopping_plus") == \

@@ -397,3 +397,73 @@ def test_run_prestopping_composes():
                                  SMALL_SPEC, small_config(epochs=6), q=3, seed=31)
     assert res.checkpoint.epoch <= 6
     assert res.safe_set.shape == (view.n,) and res.safe_set.dtype == bool
+
+
+# ----- memory layout -----
+
+DESK_SPEC = nn.NetworkSpec((16, 128, 64, 4))  # configs/default.cfg's widths
+
+
+def desk_view(n):
+    return data.synth_gaussian(4, n // 4, 16, spread=0.3, seed=7).train_view()
+
+
+def test_train_epoch_gathers_its_rows_onto_a_boundary(monkeypatch):
+    firsts, step = [], nn.loss_grad_probs
+
+    def recorded(features, labels, state, sample_mask=None, denom=None, **kw):
+        if not firsts or firsts[-1] is None:  # the first batch of an epoch
+            firsts.append((features.ctypes.data % 64, sample_mask.ctypes.data % 64))
+        return step(features, labels, state, sample_mask, denom, **kw)
+
+    monkeypatch.setattr(nn, "loss_grad_probs", recorded)
+    for n, batch in ((4000, 128), (300, 32), (300, 128), (40, 64)):
+        view = desk_view(n)
+        state = nn.init_state(DESK_SPEC, rng.stream(3, "init"))
+        hist = mem.PredictionHistory(view.n, 3, view.n_classes)
+        for epoch in (1, 2, 3):
+            engine.train_epoch(view, state, hist, small_config(3, batch), epoch, 3,
+                               member=np.ones(view.n, dtype=bool))
+            firsts.append(None)
+    assert firsts == [(0, 0), None] * 12
+
+
+def offset_empty(offset, made):
+    """A stand-in for nn.aligned_empty whose arrays start offset bytes past a
+    64-byte boundary; it appends each array it makes to made."""
+    def empty(shape, dtype=np.float64):
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        raw = np.empty(nbytes + 128, dtype=np.uint8)
+        start = -raw.ctypes.data % 64 + offset
+        made.append(raw[start:start + nbytes].view(dtype).reshape(shape))
+        return made[-1]
+    return empty
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["every-sample", "member-mask"])
+@pytest.mark.parametrize("batch", [32, 128])
+def test_layout_never_reaches_an_output_byte(monkeypatch, batch, masked):
+    # 300 samples: nine batches of 32 and a short one of 12, or two of 128 and one of 44;
+    # the second epoch steps with a nonzero velocity
+    view = desk_view(300)
+    cfg = small_config(2, batch)
+    member = rng.stream(3, "member").random(view.n) < 0.6 if masked else None
+
+    def run(offset):
+        made, steps = [], []
+        if offset:  # state, kernel buffers and gathered batch rows all at offset
+            monkeypatch.setattr(nn, "aligned_empty", offset_empty(offset, made))
+        state = nn.init_state(DESK_SPEC, rng.stream(3, "init"))
+        hist = mem.PredictionHistory(view.n, 3, view.n_classes)
+        for epoch in (1, 2):
+            engine.train_epoch(view, state, hist, cfg, epoch, 3, member=member,
+                               step_hook=lambda rec: steps.append(
+                                   rec.after.params.tobytes() + rec.after.velocity.tobytes()))
+        assert {a.ctypes.data % 64 for a in made} == ({offset} if offset else set())
+        assert len(steps) == 2 * -(-view.n // batch)
+        return steps, [hist.history_of(i).tobytes() for i in range(view.n)]
+
+    aligned = run(0)
+    for offset in (16, 32, 48):
+        assert run(offset) == aligned, offset

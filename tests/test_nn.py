@@ -582,3 +582,52 @@ def test_state_rejects_vectors_of_the_wrong_length():
                                    (good.reshape(4, 11), good, "params")):
         with pytest.raises(ValueError, match=f"^{name} must have shape \\(44,\\)"):
             nn.NetworkState(spec, params, velocity)
+
+
+# ----- memory layout -----
+
+DESK_SPEC = nn.NetworkSpec((16, 128, 64, 4))  # configs/default.cfg's widths
+
+
+def kernel_buffers(kernel) -> list:
+    """Every array a _TrainKernel allocates."""
+    outs, deltas, masks, m, s, index = kernel._full
+    return [kernel.grad, kernel.update, *outs, *deltas, *masks, m, s, index]
+
+
+def on_boundary(arrays) -> list:
+    return [a.ctypes.data % 64 == 0 for a in arrays]
+
+
+def test_aligned_empty_starts_on_a_boundary():
+    for shape, dtype in (((), np.float64), (1, bool), ((3, 5), np.intp),
+                         ((7, 1), np.float64), (10_692, np.float64)):
+        for _ in range(8):  # malloc leaves each at some 16-byte offset
+            a = nn.aligned_empty(shape, dtype)
+            assert a.shape == np.empty(shape).shape and a.dtype == dtype
+            assert a.flags.c_contiguous and a.flags.writeable and a.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("sizes", [(16, 128, 64, 4), (3, 5, 4), (16, 4)],
+                         ids=["desk", "small", "no-hidden"])
+@pytest.mark.parametrize("rows", [1, 7, 32, 128])
+def test_every_kernel_buffer_starts_on_a_boundary(sizes, rows):
+    state = small_state(5, sizes)
+    for _ in range(4):
+        buffers = kernel_buffers(nn._TrainKernel(state, rows, 0.1))
+        assert len(buffers) == 3 * (len(sizes) - 1) + 4  # outputs, deltas, masks per layer
+        assert all(on_boundary(buffers))
+
+
+def test_state_vectors_start_on_a_boundary(tmp_path):
+    state = small_state(5, DESK_SPEC.layer_sizes)
+    nn.save_network(state, tmp_path / "net.pstp")
+    for _ in range(4):
+        for dup in (small_state(5, DESK_SPEC.layer_sizes), state.copy(),
+                    nn.load_network(tmp_path / "net.pstp")):
+            assert all(on_boundary([dup.params, dup.velocity]))
+            # 10,692 values, every layer's offset a multiple of 8 values: each view is aligned
+            assert all(on_boundary(dup.weights + dup.biases + dup.vel_w + dup.vel_b))
+    for sizes in ((3, 5, 4), (16, 4)):
+        fresh = small_state(5, sizes)
+        assert all(on_boundary([fresh.params, fresh.velocity]))
