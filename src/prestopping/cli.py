@@ -26,7 +26,6 @@ import shutil
 import sys
 import time
 import configparser
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -101,16 +100,11 @@ class ExperimentConfig:
             refurbish.RefurbishConfig(self.epsilon, ())
             if self.tau is not None:
                 data.check_tau(self.tau)
+            # the synthetic keys are checked even when data_csv replaces them
+            data.check_synthetic(self.n_classes, self.per_class, self.dim, self.spread)
         except ValueError as exc:
             field, _, msg = str(exc).partition(" ")
             bad(LIBRARY_KEYS.get(field, field), msg)
-        # the synthetic keys are checked even when data_csv replaces them
-        if self.per_class < 1:
-            bad("per_class", "need at least 1 sample per class")
-        if self.dim < 1:
-            bad("dim", "need at least 1 feature dimension")
-        if not 0 <= self.spread < np.inf:
-            bad("spread", f"must be non-negative and finite, got {self.spread}")
         total = self.n_classes * self.per_class
         if self.data_csv is not None:
             try:
@@ -223,7 +217,7 @@ def _parsed_csv(path: str, mtime_ns: int, size: int) -> data.NoisyDataset:
 
 def _read_csv(path) -> data.NoisyDataset:
     """data.load_csv(path), cached until the file changes: validate and every seed
-    share one parse, which pool workers inherit as they fork after validate."""
+    share one parse, which seed processes inherit as they fork after validate."""
     st = os.stat(path)
     return _parsed_csv(str(path), st.st_mtime_ns, st.st_size)
 
@@ -325,17 +319,7 @@ def execute_run(cfg: ExperimentConfig):
     Returns (summaries, failures) and writes <out>/summary.json covering them.
     Each seed's outcome is its RunSummary; anything else is its failure.
     """
-    outcomes = []
-    if (workers := min(cfg.jobs, len(cfg.seeds))) > 1:  # all forked at the first submit
-        with ProcessPoolExecutor(max_workers=workers, initializer=processes.die_with_parent) as pool:
-            futures = [pool.submit(run_single, cfg, seed) for seed in cfg.seeds]
-            outcomes = [fut.exception() or fut.result() for fut in futures]
-    else:
-        for seed in cfg.seeds:
-            try:
-                outcomes.append(run_single(cfg, seed))
-            except Exception as exc:
-                outcomes.append(exc)
+    outcomes = processes.run_seeds(run_single, cfg.seeds, cfg.jobs, cfg)
     summaries = [o for o in outcomes if isinstance(o, metrics.RunSummary)]
     failures = [{"seed": seed, "error": f"{type(o).__name__}: {o}",
                  "run_dir": cfg.run_dir(seed).relative_to(cfg.out).as_posix()}

@@ -120,16 +120,23 @@ class SplitSpec:
 def synth_gaussian(n_classes: int, per_class: int, dim: int, spread: float,
                    seed: int) -> NoisyDataset:
     """Gaussian blobs: class centers on the unit sphere, isotropic spread around them."""
-    if n_classes < 2 or per_class < 1 or dim < 1:
-        raise ValueError("need n_classes >= 2, per_class >= 1, dim >= 1")
-    if not 0 <= spread < np.inf:
-        raise ValueError(f"spread must be non-negative and finite, got {spread}")
+    check_synthetic(n_classes, per_class, dim, spread)
     g = np.random.default_rng(seed)
     centers = g.normal(size=(n_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     labels = np.repeat(np.arange(n_classes), per_class)
     feats = centers[labels] + spread * g.normal(size=(len(labels), dim))
     return NoisyDataset(feats, labels, labels.copy(), n_classes)
+
+
+def check_synthetic(n_classes: int, per_class: int, dim: int, spread: float) -> None:
+    """The one rule for synth_gaussian's parameters; each message starts with its name."""
+    for name, value, least in (("n_classes", n_classes, 2), ("per_class", per_class, 1),
+                               ("dim", dim, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    if not 0 <= spread < np.inf:
+        raise ValueError(f"spread must be non-negative and finite, got {spread}")
 
 
 # ----- noise -----

@@ -1,10 +1,10 @@
-"""A seed's processes: train_seed, with its scorer and Phase II children.
+"""A run's processes: run_seeds, and train_seed with its scorer and Phase II children.
 
 A Prestopping seed runs its Phase II in a forked child process beside
-Phase I, and scores its epochs in forked children too (train_seed). Each
-child, and each pool worker of the CLI (die_with_parent), ends with the
-process that forked it. A child's inbox spools its messages to an unlinked
-file, so the parent never waits for a child to read one.
+Phase I, and scores its epochs in forked children too (train_seed). Every
+process is forked through _ForkedChild, and each ends with the process that
+forked it. A child's inbox spools its messages to an unlinked file, so the
+parent never waits for a child to read one.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import ctypes
 import functools
 import itertools
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
@@ -83,13 +84,13 @@ PR_SET_PDEATHSIG = 1
 _PARENT_ENDS: set = set()
 
 
-def die_with_parent() -> None:
+def _die_with_parent() -> None:
     """Have the kernel SIGKILL this forked process when its parent exits.
 
     Best effort and Linux only, like _punch_hole. A parent that died
     before the call took effect has already left this process to another
     parent, so it exits at once. Without this, a CLI killed by a signal
-    would leave its children running, and pool workers writing run
+    would leave its children running, and seed processes writing run
     directories.
     """
     with contextlib.suppress(AttributeError, OSError):
@@ -159,7 +160,7 @@ def _child_main(result_end, inbox, body, args) -> None:
     EOF here, no other child's inbox waits on this one, and this one keeps no
     other child's spool alive.
     """
-    die_with_parent()
+    _die_with_parent()
     for end in _PARENT_ENDS:
         end.close()
     _PARENT_ENDS.clear()
@@ -193,7 +194,7 @@ class _ForkedChild:
 
     The child starts from a copy-on-write image of this process, so nothing
     is pickled on the way in. The caller must run no other threads (the CLI
-    process and its pool workers run none).
+    process and its seed processes run none).
     """
 
     def __init__(self, seed: int, what: str):
@@ -369,3 +370,43 @@ def train_seed(cfg, seed: int, train_ds, val_view, collector):
     collector.rows += rows + phase2_rows
     collector.histogram = phase2_histogram if histogram is None else histogram
     return result, plus
+
+
+def _outcome(call, *args):
+    """call(*args), or the exception it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return exc
+
+
+def _run_seed(hand_over, inbox, fn, seed, args):
+    """Seed process body: fn(*args, seed)."""
+    return fn(*args, seed)
+
+
+def run_seeds(fn, seeds, workers: int, *args) -> list:
+    """fn(*args, seed), or the exception it raised, for each seed in order.
+
+    With one worker, or one seed, every call runs in this process. Otherwise
+    each runs in a seed process, at most workers at once, the next starting
+    as soon as any ends; one that dies fails its own seed only.
+    """
+    if min(workers, len(seeds)) <= 1:
+        return [_outcome(fn, *args, seed) for seed in seeds]
+    waiting = (_ForkedChild(seed, "seed process") for seed in seeds)
+    running, outcomes = {}, {}
+    try:
+        while True:
+            for child in itertools.islice(waiting, workers - len(running)):
+                child.start(_run_seed, fn, child.seed, args)
+                running[child._conn] = child
+            if not running:
+                return [outcomes[seed] for seed in seeds]
+            for conn in multiprocessing.connection.wait(list(running)):
+                child = running.pop(conn)
+                outcomes[child.seed] = _outcome(child.result)
+                child.stop()
+    finally:
+        for child in running.values():
+            child.stop()

@@ -42,11 +42,6 @@ class RefurbishedSet:
     entropy: np.ndarray  # (n,) float64, normalized history entropy (nan if empty)
     mask: np.ndarray     # (n,) bool
 
-    @classmethod
-    def empty(cls, n: int) -> "RefurbishedSet":
-        return cls(np.full(n, -1, dtype=np.int64), np.full(n, np.nan),
-                   np.zeros(n, dtype=bool))
-
     @property
     def size(self) -> int:
         return int(self.mask.sum())

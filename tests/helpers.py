@@ -2,11 +2,14 @@
 
 These deliberately avoid calling library code: explicit numpy on the same
 array shapes the trainer uses, so exact (bitwise) comparisons are meaningful.
+empty_refurbished is the one fixture here: a library object for a test to fill.
 """
 
 from collections import Counter
 
 import numpy as np
+
+from prestopping import refurbish
 
 
 def straight_line_forward(weights, biases, x):
@@ -68,3 +71,9 @@ def window_memorized(log, q, noisy_label):
     counts = Counter(w)
     best = max(counts.values())
     return min(lbl for lbl, c in counts.items() if c == best) == noisy_label
+
+
+def empty_refurbished(n):
+    """A RefurbishedSet of n samples with no member: labels -1, entropies nan."""
+    return refurbish.RefurbishedSet(np.full(n, -1, dtype=np.int64), np.full(n, np.nan),
+                                    np.zeros(n, dtype=bool))

@@ -18,7 +18,8 @@ import scipy.stats
 
 from prestopping import cli, data, engine, memorization as mem, metrics, nn
 from prestopping import refurbish, rng
-from helpers import straight_line_forward, straight_line_step, window_memorized
+from helpers import (empty_refurbished, straight_line_forward, straight_line_step,
+                     window_memorized)
 
 SEEDS = (0, 1, 2)
 
@@ -289,7 +290,7 @@ def test_c09_plus_collapses_to_phase2_on_trusted_set():
     # (b) ten plus epochs on the targets of an explicitly empty refurbished
     # set match both the library's masked phase-II update and the oracle,
     # stepwise
-    empty = refurbish.RefurbishedSet.empty(view.n)
+    empty = empty_refurbished(view.n)
     labels, member = refurbish.epoch_targets(empty, trusted, view.labels)
     state_a = nn.init_state(net, rng.stream(8, "plus_init"))
     state_b = state_a.copy()

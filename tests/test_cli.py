@@ -325,19 +325,64 @@ def test_parallel_matches_serial(tmp_path, method):
         assert seed_dir_contents(a, method, seed) == seed_dir_contents(b, method, seed)
 
 
-def test_pool_never_outnumbers_the_seeds(tmp_path, monkeypatch):
-    # a pool forks all its workers at the first submit, busy or idle
-    sizes = []
-    real = cli.ProcessPoolExecutor
+def test_seed_processes_never_outnumber_jobs_or_seeds(tmp_path, monkeypatch):
+    started, alive, most = [], [0], [0]
+    start, stop, real = processes._ForkedChild.start, processes._ForkedChild.stop, \
+        cli.build_dataset
 
-    def recording_pool(max_workers, **kwargs):
-        sizes.append(max_workers)
-        return real(max_workers=min(max_workers, 2), **kwargs)
+    def counted_start(self, body, *args):
+        start(self, body, *args)
+        started.append(self.seed)
+        alive[0] += 1
+        most[0] = max(most[0], alive[0])
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
-    flags = tiny_flags(tmp_path, seeds="0,1", jobs=8, method="default", epochs=2)
-    assert cli.main(["run"] + flags) == 0
-    assert sizes == [2]
+    def counted_stop(self):
+        alive[0] -= self._proc is not None
+        stop(self)
+
+    marker = tmp_path / "seed2_started"
+
+    def waiting_for_seed2(cfg, seed):  # runs in the forked seed processes
+        if seed == 0:
+            deadline = time.monotonic() + 30
+            while not marker.exists():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("seed 2 never started")
+                time.sleep(0.01)
+        if seed == 2:
+            marker.touch()
+        return real(cfg, seed)
+
+    monkeypatch.setattr(processes._ForkedChild, "start", counted_start)
+    monkeypatch.setattr(processes._ForkedChild, "stop", counted_stop)
+    flags = dict(method="default", epochs=2)
+    assert cli.main(["run"] + tiny_flags(tmp_path / "a", seeds="0,1", jobs=8, **flags)) == 0
+    assert started == [0, 1]
+    # seed 0 ends only once seed 2 has started: the slot seed 1 frees must go to seed 2
+    monkeypatch.setattr(cli, "build_dataset", waiting_for_seed2)
+    started.clear()
+    assert cli.main(["run"] + tiny_flags(tmp_path / "b", seeds="0,1,2", jobs=2, **flags)) == 0
+    assert started == [0, 1, 2] and most[0] == 2 and alive[0] == 0
+
+
+def test_killed_seed_process_fails_only_its_seed(tmp_path, monkeypatch):
+    real = processes.train_seed
+
+    def killed_for_seed1(cfg, seed, *args):
+        if seed == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(cfg, seed, *args)
+
+    monkeypatch.setattr(processes, "train_seed", killed_for_seed1)
+    flags = tiny_flags(tmp_path, seeds="0,1,2,3", jobs=2, method="default", epochs=2)
+    assert cli.main(["run"] + flags) == 1
+    summary = metrics.read_summary_json(tmp_path / "summary.json")
+    assert [r["seed"] for r in summary["runs"]] == [0, 2, 3]
+    assert summary["failures"] == [{
+        "seed": 1, "run_dir": "default/pair_0.3/seed1",
+        "error": "RuntimeError: seed 1: seed process exited with code -9 without a result"}]
+    assert sorted(p.name for p in (tmp_path / "default" / "pair_0.3").iterdir()) == \
+        ["seed0", "seed2", "seed3"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -346,11 +391,11 @@ def test_pool_never_outnumbers_the_seeds(tmp_path, monkeypatch):
                                      "tau=0.0 within 3 epochs (final 0.5000)"],
                          ids=["RuntimeError", "StopPointNotReached"])
 def test_failing_seed_does_not_stop_others(tmp_path, monkeypatch, capsys, jobs, failure):
-    # under jobs=2 a seed's exception comes back from its pool worker by pickle;
-    # one that cannot would break the pool and fail the healthy seeds with it
+    # under jobs=2 a seed's exception comes back from its seed process by pickle,
+    # and fails that seed alone
     real = cli.build_dataset
 
-    def flaky(cfg, seed):  # forked pool workers inherit the patch
+    def flaky(cfg, seed):  # forked seed processes inherit the patch
         if seed != 1:
             return real(cfg, seed)
         if failure.startswith("RuntimeError"):
@@ -816,7 +861,7 @@ def test_killed_cli_takes_its_processes_along(tmp_path, sig, seeds):
                             env=env, start_new_session=True, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     try:
-        # the CLI, a pool worker per seed when there are two, and each seed's
+        # the CLI, a seed process per seed when there are two, and each seed's
         # scorer and Phase II child
         started = 1 + (n_seeds if n_seeds > 1 else 0) + 2 * n_seeds
         deadline = time.monotonic() + 60
@@ -1116,6 +1161,13 @@ def test_an_exception_that_cannot_be_pickled_arrives_as_its_text(hand_over_first
 def test_processes_does_not_import_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(processes.__file__).parents[1]))
     code = "import sys, prestopping.processes; sys.exit('prestopping.cli' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_does_not_import_concurrent_futures():
+    # every process the CLI starts is a _ForkedChild: no executor is loaded
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, prestopping.cli; sys.exit('concurrent.futures' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

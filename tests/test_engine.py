@@ -155,7 +155,7 @@ def test_noise_rate_unreachable_raises():
                             SMALL_SPEC, small_config(epochs=3), q=3, seed=0)
     message = "training error never reached tau=0.0 within 3 epochs (final 0.5000)"
     assert str(info.value) == message
-    # a pool worker hands its exception back to the parent by pickle
+    # a seed process hands its exception back to the parent by pickle
     back = pickle.loads(pickle.dumps(info.value))
     assert type(back) is engine.StopPointNotReached and str(back) == message
 

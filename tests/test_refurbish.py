@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import straight_line_forward, straight_line_step
+from helpers import empty_refurbished, straight_line_forward, straight_line_step
 from prestopping import data, engine, memorization as mem, nn, refurbish, rng
 
 
@@ -120,7 +120,7 @@ def test_mixed_batch_denominator_and_loss():
     view, state, cfg = mixed_setup()
     trusted = np.zeros(8, dtype=bool)
     trusted[[0, 1, 2]] = True
-    refurb = refurbish.RefurbishedSet.empty(8)
+    refurb = empty_refurbished(8)
     refurb.mask[[3, 4]] = True
     refurb.labels[[3, 4]] = [(view.labels[3] + 1) % 3, (view.labels[4] + 2) % 3]
     labels, member = refurbish.epoch_targets(refurb, trusted, view.labels)
@@ -153,7 +153,7 @@ def test_step_rejects_overlapping_sets():
     view, _, _ = mixed_setup()
     trusted = np.zeros(8, dtype=bool)
     trusted[0] = True
-    refurb = refurbish.RefurbishedSet.empty(8)
+    refurb = empty_refurbished(8)
     refurb.mask[0] = True
     refurb.labels[0] = 1
     with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ def test_step_rejects_overlapping_sets():
 def test_step_with_empty_union_skips_update():
     view, state, cfg = mixed_setup()
     before = state.copy()
-    labels, member = refurbish.epoch_targets(refurbish.RefurbishedSet.empty(8),
+    labels, member = refurbish.epoch_targets(empty_refurbished(8),
                                              np.zeros(8, dtype=bool), view.labels)
     hist = mem.PredictionHistory(8, 2, 3)
     assert not engine.train_epoch(view, state, hist, cfg, 1, 9, labels, member)
