@@ -115,15 +115,17 @@ class ExperimentConfig:
             except ValueError as exc:  # a parse error names the file and the line
                 bad("data_csv", str(exc))
             total = full.n
-        if self.validation_size + self.test_size >= total:
-            bad("validation_size", f"validation {self.validation_size} + test "
-                f"{self.test_size} leave no training data out of {total}")
-        if self.validation_size < 0:
-            bad("validation_size", "must be non-negative")
+        try:  # a placeholder seed: it does not change what a split may hold
+            data.check_split(data.SplitSpec(self.validation_size, self.test_size, 0), total)
+        except ValueError as exc:
+            field, _, msg = str(exc).partition(" ")
+            bad(field, msg)
         if self.test_size < 1:
             bad("test_size", "need a test partition to score runs")
         if self.noise != "none" and self.tau is None:
             bad("tau", f"required when noise = {self.noise}")
+        # StopHeuristic owns what each heuristic needs, but it needs a
+        # validation view to be built, and validate has none
         if self.method in ("prestopping", "prestopping_plus"):
             if self.heuristic == "noise_rate" and self.tau is None:
                 bad("tau", "noise_rate heuristic needs the noise rate")
@@ -249,8 +251,10 @@ def _write_refurbished_csv(refurb, path) -> None:
 def _whole_directory(final: Path):
     """Yield a hidden sibling directory to fill; it replaces final once the block completes.
 
-    The swap is two renames, so final holds either its old files or all the
-    new ones; on an error final is left as it was and the sibling is removed.
+    The swap is two renames: final holds its old entry until the first and
+    all the new files from the second, and is absent between the two. The
+    old entry is then removed whatever it is; a symlink is unlinked, never
+    followed. On an error final is left as it was and the sibling is removed.
     """
     final.parent.mkdir(parents=True, exist_ok=True)
     tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
@@ -259,10 +263,13 @@ def _whole_directory(final: Path):
     tmp.mkdir()
     try:
         yield tmp
-        if final.exists():
+        if os.path.lexists(final):
             os.rename(final, old)
         os.rename(tmp, final)
-        shutil.rmtree(old, ignore_errors=True)
+        if old.is_dir() and not old.is_symlink():
+            shutil.rmtree(old, ignore_errors=True)
+        else:
+            old.unlink(missing_ok=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

@@ -111,8 +111,9 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        if self.validation_size < 0 or self.test_size < 0:
-            raise ValueError("partition sizes must be non-negative")
+        for name in ("validation_size", "test_size"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 # ----- synthesis -----
@@ -185,12 +186,17 @@ def inject_noise(dataset: NoisyDataset, matrix: TransitionMatrix, seed: int) -> 
 
 # ----- partitioning -----
 
+def check_split(spec: SplitSpec, n: int) -> None:
+    """The one rule for a split's total: spec leaves training samples out of n."""
+    if spec.validation_size + spec.test_size >= n:
+        raise ValueError(f"validation_size {spec.validation_size} + test_size "
+                         f"{spec.test_size} leave no training samples out of {n}")
+
+
 def split(dataset: NoisyDataset, spec: SplitSpec):
     """Disjoint (train dataset, validation view, test view); views are clean."""
     n = dataset.n
-    if spec.validation_size + spec.test_size >= n:
-        raise ValueError(f"validation {spec.validation_size} + test {spec.test_size} "
-                         f"leave no training samples out of {n}")
+    check_split(spec, n)
     perm = np.random.default_rng(spec.seed).permutation(n)
     val_idx = np.sort(perm[:spec.validation_size])
     test_idx = np.sort(perm[spec.validation_size:spec.validation_size + spec.test_size])

@@ -72,8 +72,6 @@ def _one_blas_thread():
 
 # bytes of a note, the length of one spooled message, in a child's inbox pipe
 NOTE_BYTES = 8
-# fallocate modes (linux/falloc.h): free a range's blocks, keep the file's size
-FALLOC_FL_KEEP_SIZE, FALLOC_FL_PUNCH_HOLE = 1, 2
 # niceness a child takes once it only scores, so that it yields the cores to training
 SCORING_NICENESS = 19
 PR_SET_PDEATHSIG = 1
@@ -87,11 +85,10 @@ _PARENT_ENDS: set = set()
 def _die_with_parent() -> None:
     """Have the kernel SIGKILL this forked process when its parent exits.
 
-    Best effort and Linux only, like _punch_hole. A parent that died
-    before the call took effect has already left this process to another
-    parent, so it exits at once. Without this, a CLI killed by a signal
-    would leave its children running, and seed processes writing run
-    directories.
+    Best effort and Linux only. A parent that died before the call took
+    effect has already left this process to another parent, so it exits at
+    once. Without this, a CLI killed by a signal would leave its children
+    running, and seed processes writing run directories.
     """
     with contextlib.suppress(AttributeError, OSError):
         prctl = ctypes.CDLL(None).prctl
@@ -101,51 +98,18 @@ def _die_with_parent() -> None:
         os._exit(1)
 
 
-@functools.cache
-def _fallocate():
-    """libc's fallocate, or None; looked up once per process."""
-    with contextlib.suppress(AttributeError, OSError):
-        fallocate = ctypes.CDLL(None).fallocate
-        fallocate.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_long, ctypes.c_long]
-        fallocate.restype = ctypes.c_int
-        return fallocate
-    return None
-
-
-def _punch_hole(fd: int, offset: int, length: int) -> None:
-    """Free the blocks of fd's file that lie wholly in [offset, offset + length);
-    the file keeps its size and reads zeros there. Best effort and Linux only
-    (FALLOC_FL_PUNCH_HOLE): elsewhere the blocks stay until the file is closed."""
-    if (fallocate := _fallocate()) is not None:
-        fallocate(fd, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE, offset, length)
-
-
-class _Inbox:
-    """A child's end of its inbox: recv() returns the parent's messages in the
-    order sent, and raises EOFError once the parent has closed its end.
+def _inbox(notes, spool):
+    """A child's inbox: each message the parent's send() spooled, in the order
+    sent, until the parent closes its end of the notes pipe.
 
     Each message lies pickled in the spool, an unlinked file, right after the
-    one before it; the notes pipe carries only its length. recv() punches
-    each message it reads out of the spool, so the spool's blocks hold only
-    the messages not yet read.
+    one before it; the notes pipe carries only its length.
     """
-
-    def __init__(self, notes, spool):
-        self._notes, self._spool = notes, spool
-        self._read = 0
-        self._block = os.fstat(spool.fileno()).st_blksize
-
-    def recv(self):
-        note = self._notes.read(NOTE_BYTES)
-        if len(note) < NOTE_BYTES:
-            raise EOFError
+    read = 0
+    while len(note := notes.read(NOTE_BYTES)) == NOTE_BYTES:
         size = int.from_bytes(note, "little")
-        message = pickle.loads(os.pread(self._spool.fileno(), size, self._read))
-        # from the start of the block the previous message ended in: only now is it wholly read
-        freed = self._read - self._read % self._block
-        self._read += size
-        _punch_hole(self._spool.fileno(), freed, self._read - freed)
-        return message
+        yield pickle.loads(os.pread(spool.fileno(), size, read))
+        read += size
 
 
 def _child_main(result_end, inbox, body, args) -> None:
@@ -154,7 +118,7 @@ def _child_main(result_end, inbox, body, args) -> None:
 
     outcome is body's return value or the exception it raised; the warnings
     it issued are re-issued by the parent. hand_over(value) sends value, and
-    the warnings issued so far, before the outcome. inbox is the _Inbox the
+    the warnings issued so far, before the outcome. inbox is the _inbox the
     parent's send() feeds. The child closes its copies of _PARENT_ENDS, its
     own inbox's write end among them, so the parent closing its end reads as
     EOF here, no other child's inbox waits on this one, and this one keeps no
@@ -206,9 +170,8 @@ class _ForkedChild:
         body(hand_over, inbox, *args).
 
         handover() returns the value passed to hand_over before result()
-        returns body's. inbox is an _Inbox: its recv() returns each message
-        send() sent, in order, and raises EOFError once close() or result()
-        is called.
+        returns body's. inbox yields each message send() sent, in order, and
+        ends once close() or result() is called.
         """
         self.stop()
         fork = multiprocessing.get_context("fork")
@@ -219,7 +182,7 @@ class _ForkedChild:
         self._spool, self._sent = tempfile.TemporaryFile(buffering=0), 0
         notes = open(reader, "rb")
         self._proc = fork.Process(target=_child_main, name=f"{self.what} of seed {self.seed}",
-                                  args=(result_end, _Inbox(notes, self._spool), body, args))
+                                  args=(result_end, _inbox(notes, self._spool), body, args))
         self._proc.start()
         # the child holds the only other ends: its death reads as EOF, and
         # sending to a dead child raises BrokenPipeError
@@ -251,23 +214,8 @@ class _ForkedChild:
             self._proc = self._conn = self._inbox = self._spool = None
 
     def handover(self):
-        """Wait for the value the child hands over; it fails as in result()."""
-        return self._receive()
-
-    def close(self) -> None:
-        """Close the inbox: the child's recv() raises EOFError once it has read
-        every message sent. Nothing can be sent after this."""
-        _close(self._inbox, self._spool)
-        self._inbox = self._spool = None
-
-    def result(self):
-        """Close the inbox, then wait for the child: body's return value, or its exception."""
-        self.close()
-        outcome = self._receive()
-        self._proc.join()
-        return outcome
-
-    def _receive(self):
+        """Wait for the value the child hands over, or for body's outcome once
+        nothing more is handed over: its return value, or its exception."""
         try:
             outcome, caught = self._conn.recv()
         except EOFError:
@@ -278,6 +226,19 @@ class _ForkedChild:
             warnings.warn_explicit(message, category, filename, lineno)
         if isinstance(outcome, BaseException):
             raise outcome
+        return outcome
+
+    def close(self) -> None:
+        """Close the inbox: the child's inbox ends once it has yielded every
+        message sent. Nothing can be sent after this."""
+        _close(self._inbox, self._spool)
+        self._inbox = self._spool = None
+
+    def result(self):
+        """Close the inbox, then wait for the child: body's return value, or its exception."""
+        self.close()
+        outcome = self.handover()
+        self._proc.join()
         return outcome
 
 
@@ -301,26 +262,19 @@ def _scored(collector: metrics.MetricsCollector, net_spec, epochs):
     return collector.rows, collector.histogram
 
 
-def _received(inbox):
-    """Each message of inbox, until EOF."""
-    with contextlib.suppress(EOFError):
-        while True:
-            yield inbox.recv()
-
-
 def _score_epochs(hand_over, inbox, net_spec, collector):
-    """Scorer body: _scored on one _epoch per inbox message, until EOF."""
-    return _scored(collector, net_spec, _received(inbox))
+    """Scorer body: _scored on one _epoch per inbox message."""
+    return _scored(collector, net_spec, inbox)
 
 
 def _phase2_body(hand_over, inbox, ckpt, view, opt, seed, collector):
     """Phase II child body: hands over (state, safe mask, histories) as soon as
     Phase II has trained, then returns _scored on its epochs followed by one
-    _epoch per inbox message, until EOF."""
+    _epoch per inbox message."""
     kept = []
     hand_over(engine.phase2_train(ckpt, view, opt, seed,
                                   observer=lambda ctx: kept.append(_epoch(ctx))))
-    return _scored(collector, ckpt.state.spec, itertools.chain(kept, _received(inbox)))
+    return _scored(collector, ckpt.state.spec, itertools.chain(kept, inbox))
 
 
 def train_seed(cfg, seed: int, train_ds, val_view, collector):

@@ -5,6 +5,7 @@ so each configuration is trained once per session and reused by every test
 that inspects it.
 """
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -17,6 +18,15 @@ DESK = dict(n_classes=4, per_class=1375, dim=16, spread=0.3,
             lr=0.1, momentum=0.9, batch_size=128, epochs=60,
             decay_points=(0.5, 0.75), decay_factor=5.0, epsilon=0.05)
 SEEDS = (0, 1, 2)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """No test leaves a forked child behind, nor this process's end of one's
+    pipes or spool: a leaked spool keeps every message it was sent."""
+    yield
+    assert multiprocessing.active_children() == []
+    assert processes._PARENT_ENDS == set()
 
 
 class DeskRun:

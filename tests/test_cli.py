@@ -5,12 +5,10 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import pickle
 import select
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -21,13 +19,6 @@ import pytest
 from prestopping import cli, data, engine, metrics, nn, processes, refurbish
 
 ROOT_CFG = "configs/default.cfg"
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_children():
-    """No test leaves a Phase II or scorer child behind."""
-    yield
-    assert multiprocessing.active_children() == []
 
 
 def tiny_flags(out, **kw):
@@ -644,6 +635,25 @@ def test_rerun_leaves_no_stale_files(tmp_path):
     assert [p.name for p in seed_dir.parent.iterdir()] == ["seed0"]
 
 
+@pytest.mark.parametrize("old", ["symlink", "dangling symlink", "file"])
+def test_rerun_replaces_a_seed_entry_that_is_no_directory(tmp_path, old):
+    seed_dir = tmp_path / "out" / "default" / "pair_0.3" / "seed0"
+    seed_dir.parent.mkdir(parents=True)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "kept.txt").write_text("not the run's\n")
+    if old == "file":
+        seed_dir.touch()
+    else:
+        seed_dir.symlink_to(elsewhere if old == "symlink" else tmp_path / "missing")
+    assert cli.main(["run"] + tiny_flags(tmp_path / "out", method="default", seeds="0",
+                                         epochs=2)) == 0
+    assert seed_dir.is_dir() and not seed_dir.is_symlink()
+    assert [p.name for p in seed_dir.parent.iterdir()] == ["seed0"]
+    # the link was unlinked, not followed into its target
+    assert [p.name for p in elsewhere.iterdir()] == ["kept.txt"]
+
+
 def test_failed_write_leaves_no_partial_directory(tmp_path, monkeypatch, capsys):
     noise_dir = tmp_path / "default" / "pair_0.3"
 
@@ -1036,15 +1046,6 @@ def test_send_to_a_dead_child_names_seed_and_exit_code():
     child.stop()
 
 
-def received(inbox) -> list:
-    """Every message of inbox, until the parent closes it."""
-    messages = []
-    with contextlib.suppress(EOFError):
-        while True:
-            messages.append(inbox.recv())
-    return messages
-
-
 def test_sends_do_not_wait_for_a_busy_child():
     child = processes._ForkedChild(0, "scorer process")
     child.start(lambda hand_over, inbox: time.sleep(60))
@@ -1064,7 +1065,7 @@ def test_a_child_reading_late_gets_every_message_intact_and_in_order():
         # in send after 30 s finds this child gone
         if not select.select([go_read], [], [], 30)[0]:
             return "never told to read"
-        return [(i, np.array_equal(values, messages[i][1])) for i, values in received(inbox)]
+        return [(i, np.array_equal(values, messages[i][1])) for i, values in inbox]
 
     child = processes._ForkedChild(0, "scorer process")
     try:
@@ -1100,38 +1101,6 @@ def test_a_second_child_holds_no_descriptor_on_the_first_childs_spool():
     finally:
         first.stop()
         second.stop()
-
-
-def punches_holes() -> bool:
-    with tempfile.TemporaryFile() as spool:
-        spool.write(bytes(1 << 20))
-        spool.flush()
-        before = os.fstat(spool.fileno()).st_blocks
-        processes._punch_hole(spool.fileno(), 0, 1 << 20)
-        return os.fstat(spool.fileno()).st_blocks < before
-
-
-@pytest.mark.skipif(not punches_holes(), reason="no hole punching here")
-def test_the_spool_keeps_only_unread_messages():
-    message = np.zeros(11_000)
-
-    def body(hand_over, inbox):
-        for _ in range(64):
-            inbox.recv()
-        hand_over("read")
-        return received(inbox)
-
-    child = processes._ForkedChild(0, "scorer process")
-    try:
-        child.start(body)
-        for _ in range(64):
-            child.send(message)
-        assert child.handover() == "read"
-        allocated = os.fstat(child._spool.fileno()).st_blocks * 512
-        assert allocated <= 2 * len(pickle.dumps(message))  # of 64 messages sent
-        assert child.result() == []
-    finally:
-        child.stop()
 
 
 @pytest.mark.parametrize("hand_over_first", [False, True], ids=["raise", "hand-over-then-raise"])
