@@ -46,13 +46,11 @@ class ConfigError(ValueError):
     """Invalid configuration; message starts with the offending key."""
 
 
-# list-valued keys: comma-separated cells, a blank cell is an error, a blank value is ()
-def _ints(s: str) -> tuple:
-    return tuple(int(x) for x in s.split(",")) if s.strip() else ()
-
-
-def _floats(s: str) -> tuple:
-    return tuple(float(x) for x in s.split(",")) if s.strip() else ()
+def _numbers(kind):
+    """Parser of a list-valued key: comma-separated cells, a blank cell is an
+    error, a value of ASCII spaces or nothing is ()."""
+    return lambda s: (tuple(data.parse_number(x, kind) for x in s.split(","))
+                      if s.strip(" \t\n\r\v\f") else ())
 
 
 @dataclass
@@ -167,7 +165,8 @@ class ExperimentConfig:
 # every key appears in exactly one config-file section and doubles as a flag;
 # its annotation picks the parser, Optional[X] parsing as X
 CONVERTERS = metrics.field_table(ExperimentConfig, {
-    int: int, float: float, str: str, tuple[int, ...]: _ints, tuple[float, ...]: _floats})
+    int: functools.partial(data.parse_number, kind=int), float: data.parse_number, str: str,
+    tuple[int, ...]: _numbers(int), tuple[float, ...]: _numbers(float)})
 
 
 def load_config_file(path) -> dict:
@@ -176,9 +175,9 @@ def load_config_file(path) -> dict:
     cp = configparser.ConfigParser(interpolation=None, default_section=None)
     cp.optionxform = str  # keys are case-sensitive
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"config: cannot parse {path}: {exc}")
@@ -477,7 +476,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg)
         try:
-            grid = _ints(args.grid)
+            grid = _numbers(int)(args.grid)
         except ValueError as exc:
             raise ConfigError(f"grid: cannot parse {args.grid!r} ({exc})")
         return cmd_grid_q(cfg, grid)

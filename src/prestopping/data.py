@@ -12,6 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def parse_number(text: str, kind=float):
+    """kind(text) for ASCII text without '_': the one grammar for every number read
+    from text. Python's int and float alone would read '6_0' as 60 and any Unicode
+    digit ('１０', '٣') as its value; here both are a ValueError. Surrounding
+    spaces, a sign, an exponent and the nan/inf spellings pass as kind reads them."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)
+
+
 def check_labels(labels, n_classes: int, name: str = "labels") -> np.ndarray:
     """labels as a 1-D int64 array in [0, n_classes); int64 input is not copied.
 
@@ -235,8 +245,11 @@ def load_csv(path, n_classes: int | None = None) -> NoisyDataset:
     """
     feats, noisy, true, linenos = [], [], [], []
     width = n_labels = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():  # an undecodable byte reads as a lone surrogate
+                raise ValueError(f"{path}: line {lineno}: a CSV file is ASCII, got "
+                                 f"{line.rstrip().encode(errors='surrogateescape')!r}")
             line = line.strip()
             if not line:
                 continue
@@ -246,18 +259,18 @@ def load_csv(path, n_classes: int | None = None) -> NoisyDataset:
                     raise ValueError(f"{path}: line {lineno}: need at least one "
                                      f"feature column and a label")
                 width = len(cells)
-                if not all(_float_like(c) for c in cells):
+                if not all(_is_number(c, float) for c in cells):
                     n_labels = _header_labels(cells, path, lineno)
                     continue
-                two = len(cells) >= 3 and all(_int_like(c) for c in cells[-2:])
+                two = len(cells) >= 3 and all(_is_number(c, int) for c in cells[-2:])
                 n_labels = 2 if two else 1
             if len(cells) != width:
                 raise ValueError(f"{path}: line {lineno}: expected {width} columns, "
                                  f"got {len(cells)}")
-            feats_part, labels_part = _split_row(cells, n_labels, path, lineno)
-            feats.append(feats_part)
-            noisy.append(labels_part[0])
-            true.append(labels_part[-1])
+            row = _parse_row(cells, n_labels, path, lineno)
+            feats.append(row[:-n_labels])
+            noisy.append(row[-n_labels])
+            true.append(row[-1])
             linenos.append(lineno)
     if not feats:
         raise ValueError(f"{path}: no data rows")
@@ -290,37 +303,21 @@ def _header_labels(cells, path, lineno) -> int:
     return n_labels
 
 
-def _split_row(cells, n_labels, path, lineno):
-    """Feature floats plus the n_labels trailing integer labels."""
-    def parse_int(cell):
+def _parse_row(cells, n_labels, path, lineno) -> list:
+    """Feature floats, then the n_labels trailing labels, plain integers that fit int64."""
+    row = []
+    for j, cell in enumerate(cells):
+        what, kind = ("feature", float) if j < len(cells) - n_labels else ("label", np.int64)
         try:
-            v = float(cell)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: invalid label {cell!r}") from None
-        if not v.is_integer():
-            raise ValueError(f"{path}: line {lineno}: label {cell!r} is not an integer")
-        return int(v)
+            row.append(parse_number(cell, kind))
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}: line {lineno}: invalid {what} {cell!r}") from None
+    return row
 
+
+def _is_number(cell: str, kind) -> bool:
     try:
-        feats = [float(c) for c in cells[:-n_labels]]
-    except ValueError as exc:
-        bad = next(c for c in cells[:-n_labels] if not _float_like(c))
-        raise ValueError(f"{path}: line {lineno}: invalid feature {bad!r}") from exc
-    labels = [parse_int(c) for c in cells[-n_labels:]]
-    return feats, labels
-
-
-def _int_like(cell: str) -> bool:
-    try:
-        int(cell)
-        return True
-    except ValueError:
-        return False
-
-
-def _float_like(cell: str) -> bool:
-    try:
-        float(cell)
+        parse_number(cell, kind)
         return True
     except ValueError:
         return False

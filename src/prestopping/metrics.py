@@ -11,12 +11,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, asdict
+from functools import partial
 from typing import Callable, Optional, get_args, get_type_hints
 
 import numpy as np
 
 from . import nn
-from .data import DataView, NoisyDataset
+from .data import DataView, NoisyDataset, parse_number
 from .engine import EpochContext
 from .memorization import mp_mr
 
@@ -48,7 +49,8 @@ class EpochMetrics:
 
 
 # metrics.csv column -> cell parser; an empty Optional cell reads as None
-_CELL_PARSERS = field_table(EpochMetrics, {int: int, float: float, str: str},
+_CELL_PARSERS = field_table(EpochMetrics, {int: partial(parse_number, kind=int),
+                                            float: parse_number, str: str},
                             optional=lambda parse: lambda cell: parse(cell) if cell else None)
 CSV_FIELDS = tuple(_CELL_PARSERS)
 
@@ -261,8 +263,17 @@ def write_summary_json(summary: dict, path) -> None:
 
 
 def read_summary_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON in path; NaN, Infinity and a float too large for a double are errors."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_int=partial(parse_number, kind=int),
+                         parse_float=_finite, parse_constant=_finite)
+
+
+def _finite(text: str) -> float:
+    value = parse_number(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 # ----- plotting convenience -----

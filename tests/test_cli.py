@@ -89,12 +89,15 @@ def test_shipped_default_config_is_valid():
 def test_config_error_exit_code(tmp_path, capsys):
     # each bad value must surface as a config error naming its key, not as
     # failed runs
-    small, wide, malformed, nonfinite = (tmp_path / name for name in (
-        "small.csv", "wide.csv", "malformed.csv", "nonfinite.csv"))
+    small, wide, malformed, nonfinite, undecodable, fullwidth = (tmp_path / name for name in (
+        "small.csv", "wide.csv", "malformed.csv", "nonfinite.csv", "undecodable.cfg",
+        "fullwidth.cfg"))
     data.write_csv(data.synth_gaussian(4, 25, 4, spread=0.4, seed=5), small)
     wide.write_text("".join(f"0.5,{k % 300}\n" for k in range(1800)))  # 300 classes
     malformed.write_text("0.5,1.5,0\n0.5,1\n")
     nonfinite.write_text("".join(f"{k / 7},{k % 3}\n" for k in range(99)) + "nan,1\n")
+    undecodable.write_bytes(b"[run]\nout = runs\xff\n")
+    fullwidth.write_text("[method]\nq = \uff11\uff10\n", encoding="utf-8")
     for flags, key in [
         (["--method", "prestopping", "--heuristic", "noise_rate", "--noise", "none"], "tau"),
         (["--q", "300"], "q"),
@@ -109,6 +112,14 @@ def test_config_error_exit_code(tmp_path, capsys):
         (["--decay_points", "0.5 5"], "decay_points"),
         (["--seeds", "0,,1"], "seeds"),
         (["--hidden", "128,64,"], "hidden"),
+        # a number is plain ASCII: no '_' between digits, no other script's digits
+        (["--epochs", "6_0"], "epochs"),
+        (["--hidden", "1_28"], "hidden"),
+        (["--q", "\uff11\uff10"], "q"),
+        (["--seeds", "\u0660,\u0661"], "seeds"),
+        (["--config", str(fullwidth)], "q"),
+        # a config file is UTF-8 text
+        (["--config", str(undecodable)], "config"),
         # predicted labels are stored as single bytes: 256 classes at most
         (["--method", "default", "--n_classes", "300", "--per_class", "3",
           "--validation_size", "10", "--test_size", "10"], "n_classes"),
@@ -214,6 +225,10 @@ def test_every_config_field_is_a_key_and_a_flag(tmp_path):
     # an empty list-valued key is the empty list: a constant LR, no hidden layer
     cfg = cli.build_config(None, {"decay_points": "", "hidden": ""})
     assert cfg.decay_points == () and cfg.hidden == ()
+    # the other documented number forms keep their values
+    for key, text, value in [("lr", " 0.1 ", 0.1), ("epochs", "+5", 5), ("lr", "1e-1", 0.1),
+                             ("seeds", "0, 1", (0, 1)), ("decay_points", " ", ())]:
+        assert getattr(cli.build_config(None, {key: text}), key) == value, (key, text)
     # Optional[X] parses as X
     assert cli.CONVERTERS["tau"]("0.3") == 0.3
     assert cli.CONVERTERS["data_csv"]("d.csv") == "d.csv"
@@ -489,11 +504,12 @@ def test_grid_q_rejects_repeated_values(tmp_path, capsys):
 
 
 def test_grid_q_rejects_a_space_separated_grid(tmp_path, capsys):
-    # "1 5" is no grid of two points, and no q=15 either
-    rc = cli.main(["grid-q"] + tiny_flags(tmp_path, seeds="0") + ["--grid", "1 5"])
-    assert rc == 2
-    assert "config error: grid:" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    # "1 5" is no grid of two points, and no q=15 either; "1_0" is no q=10
+    for grid in ("1 5", "1_0"):
+        rc = cli.main(["grid-q"] + tiny_flags(tmp_path, seeds="0") + ["--grid", grid])
+        assert rc == 2, grid
+        assert "config error: grid:" in capsys.readouterr().err, grid
+        assert not any(tmp_path.iterdir()), grid
 
 
 @pytest.mark.parametrize("grid", ["0,5", "5,256"])
@@ -540,9 +556,21 @@ def test_summarize_names_unreadable_summary(tmp_path, capsys):
         rc = cli.main(["summarize", "--dir", str(tmp_path)])
         assert rc == 1
         assert f"cannot read {broken}" in capsys.readouterr().err
-    # a run entry with every field, one of them of the wrong JSON type
+    # NaN, an infinity or a float too large for a double would aggregate into a
+    # non-finite mean and be written back as no valid JSON
     good = json.loads((tmp_path / "default" / "pair_0.3" / "seed0" / "summary.json")
                       .read_text())["runs"][0]
+    for value in ("NaN", "Infinity", "-Infinity", "1e999"):
+        broken.write_text(json.dumps({"runs": [good]}).replace(
+            f'"best_test_error": {json.dumps(good["best_test_error"])}',
+            f'"best_test_error": {value}'))
+        assert value in broken.read_text()
+        capsys.readouterr()
+        assert cli.main(["summarize", "--dir", str(tmp_path)]) == 1
+        assert f"cannot read {broken}: {value} is not a finite number" in \
+            capsys.readouterr().err
+    assert metrics.read_summary_json(tmp_path / "summary.json")["runs"]  # not rewritten
+    # a run entry with every field, one of them of the wrong JSON type
     for field, value in [("best_test_error", "x"), ("q", "10"), ("seed", True),
                          ("heuristic", 3), ("stop_epoch", 2.5), ("wall_seconds", None)]:
         broken.write_text(json.dumps({"runs": [{**good, field: value}]}))

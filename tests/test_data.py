@@ -212,6 +212,18 @@ def test_csv_single_label_column(tmp_path):
     assert ds.is_noise_free  # single column counts as both labels
 
 
+def test_parse_number_reads_plain_ascii_numbers_only():
+    assert data.parse_number(" +1e-1\n") == 0.1 and data.parse_number("-5", int) == -5
+    assert type(data.parse_number("5")) is float and type(data.parse_number("5", int)) is int
+    # Python's int and float would read each of these as a number
+    for text in ("6_0", "\uff11\uff10", "\u0663", "\u00a05", "5\u2003"):
+        for kind in (int, float):
+            with pytest.raises(ValueError, match="not a plain ASCII number"):
+                data.parse_number(text, kind)
+    with pytest.raises(ValueError):
+        data.parse_number("2.0", int)
+
+
 def test_csv_errors_name_lines(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("0.5,1.5,2\n0.1,3\n")
@@ -233,6 +245,27 @@ def test_csv_errors_name_lines(tmp_path):
         nonfinite.write_text(f"0.5,1.5,2\n0.5,{cell},0\n")
         with pytest.raises(ValueError, match=f"nonfinite.csv: line 2: feature {cell}"):
             data.load_csv(nonfinite)
+
+    # a label is a plain integer that fits int64: no '_', no other script's
+    # digit, no '.0'; in the first row the error names line 1 as well
+    for cell in ("1_0", "\u0663", "2.0", "99999999999999999999"):
+        for text, where in [(f"0.5,1.5,2\n0.5,1.5,{cell}\n", "line 2: "),
+                            (f"0.5,1.5,{cell}\n0.5,1.5,2\n", "line 1: ")]:
+            labels = tmp_path / "labels.csv"
+            labels.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"labels.csv: {where}"):
+                data.load_csv(labels)
+    # and a feature a plain number
+    features = tmp_path / "features.csv"
+    features.write_text("0.5,1.5,2\n0_5,1.5,0\n")
+    with pytest.raises(ValueError, match="features.csv: line 2: invalid feature '0_5'"):
+        data.load_csv(features)
+
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(b"0.5,1.5,2\n0.5,1.5,0\n0.5,1\xff.5,0\n")
+    with pytest.raises(ValueError, match=r"undecodable.csv: line 3: a CSV file is ASCII, "
+                                         r"got b'0.5,1\\xff.5,0'"):
+        data.load_csv(undecodable)
 
 
 def test_csv_documented_header_names_the_label_columns(tmp_path):
