@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import os
+import re
 import shutil
 import sys
 import time
@@ -40,6 +41,8 @@ HEURISTICS = ("validation", "noise_rate")
 Q_GRID = (1, 5, 10, 15, 20)
 # library field -> config key, where the two names differ
 LIBRARY_KEYS = {"base_lr": "lr", "total_epochs": "epochs", "layer_sizes": "hidden"}
+# the whitespace that may surround a number, a list or a config file's key or value
+ASCII_SPACE = " \t\n\r\v\f"
 
 
 class ConfigError(ValueError):
@@ -50,7 +53,7 @@ def _numbers(kind):
     """Parser of a list-valued key: comma-separated cells, a blank cell is an
     error, a value of ASCII spaces or nothing is ()."""
     return lambda s: (tuple(data.parse_number(x, kind) for x in s.split(","))
-                      if s.strip(" \t\n\r\v\f") else ())
+                      if s.strip(ASCII_SPACE) else ())
 
 
 @dataclass
@@ -100,10 +103,13 @@ class ExperimentConfig:
                 data.check_tau(self.tau)
             # the synthetic keys are checked even when data_csv replaces them
             data.check_synthetic(self.n_classes, self.per_class, self.dim, self.spread)
+            # a placeholder seed: it does not change what a split may hold
+            split = data.SplitSpec(self.validation_size, self.test_size, 0)
         except ValueError as exc:
             field, _, msg = str(exc).partition(" ")
             bad(LIBRARY_KEYS.get(field, field), msg)
         total = self.n_classes * self.per_class
+        counted = f"n_classes {self.n_classes} x per_class {self.per_class}"
         if self.data_csv is not None:
             try:
                 full = _read_csv(self.data_csv)
@@ -112,12 +118,12 @@ class ExperimentConfig:
                 bad("data_csv", f"cannot read {self.data_csv}: {exc.strerror or exc}")
             except ValueError as exc:  # a parse error names the file and the line
                 bad("data_csv", str(exc))
-            total = full.n
-        try:  # a placeholder seed: it does not change what a split may hold
-            data.check_split(data.SplitSpec(self.validation_size, self.test_size, 0), total)
+            total, counted = full.n, f"the rows of data_csv {self.data_csv}"
+        try:
+            data.check_split(split, total)
         except ValueError as exc:
             field, _, msg = str(exc).partition(" ")
-            bad(field, msg)
+            bad(field, f"{msg} ({counted})")
         if self.test_size < 1:
             bad("test_size", "need a test partition to score runs")
         if self.noise != "none" and self.tau is None:
@@ -171,14 +177,28 @@ CONVERTERS = metrics.field_table(ExperimentConfig, {
 
 def load_config_file(path) -> dict:
     """Flat key = value file with sections; keys are globally unique, values are
-    literal (no % interpolation), and [DEFAULT] is an ordinary section."""
+    literal (no % interpolation), and [DEFAULT] is an ordinary section.
+
+    configparser strips any Unicode whitespace around a key or a value; only
+    ASCII_SPACE may go, so any other there is an error naming the line's key.
+    """
     cp = configparser.ConfigParser(interpolation=None, default_section=None)
     cp.optionxform = str  # keys are case-sensitive
     try:
         with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh)
+            lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}")
+    for line in lines:
+        if line.strip().startswith(("#", ";")):  # configparser's comment prefixes
+            continue
+        key, *value = re.split("[=:]", line, maxsplit=1)  # configparser's delimiters
+        for part in (key, *value):
+            if part.strip() != part.strip(ASCII_SPACE):
+                raise ConfigError(f"{key.strip() if value else 'config'}: non-ASCII "
+                                  f"whitespace around {part.strip(ASCII_SPACE)!r} in {path}")
+    try:
+        cp.read_file(lines, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"config: cannot parse {path}: {exc}")
     values = {}

@@ -1,10 +1,10 @@
 """A run's processes: run_seeds, and train_seed with its scorer and Phase II children.
 
-A Prestopping seed runs its Phase II in a forked child process beside
-Phase I, and scores its epochs in forked children too (train_seed). Every
-process is forked through _ForkedChild, and each ends with the process that
-forked it. A child's inbox spools its messages to an unlinked file, so the
-parent never waits for a child to read one.
+Every seed scores its epochs in forked children (train_seed), and a
+Prestopping seed runs its Phase II in one beside Phase I. Every process is
+forked through _ForkedChild, and each ends with the process that forked it.
+A child's inbox spools its messages to an unlinked file, so the parent never
+waits for a child to read one.
 """
 
 from __future__ import annotations
@@ -280,43 +280,45 @@ def _phase2_body(hand_over, inbox, ckpt, view, opt, seed, collector):
 def train_seed(cfg, seed: int, train_ds, val_view, collector):
     """Dispatch on method; returns (PrestopResult or None, plus result or None).
 
-    A Prestopping seed is engine.run_prestopping with Phase II run beside the
-    rest of Phase I, and no epoch scored in this process. A scorer child,
-    forked before Phase I, scores Phase I's epochs as this process sends
-    them; its inbox closes when Phase I returns, so it exits once they are
-    scored. Each checkpoint Phase I takes restarts Phase II from it in a child,
-    so Phase II from the final checkpoint overlaps Phase I's remaining
-    epochs; the retrain starts as soon as that child hands over its result,
-    and the child then scores its own epochs and the retrain's, as this
-    process sends them. Each child's rows are thus one stretch of the serial
-    observer order (Phase I, Phase II, retrain): concatenated, with the first
-    histogram captured, every output is byte-identical to the serial run's.
-    cfg, the CLI's ExperimentConfig, is read by attribute.
+    This process trains, its children score: it never evaluates the training
+    or the test set. A scorer child, forked first, scores the epochs of
+    engine.run_default or of Phase I as this process sends them; its inbox
+    closes when that training returns, so it exits once they are scored. A
+    Prestopping seed is engine.run_prestopping with Phase II run beside the
+    rest of Phase I: each checkpoint Phase I takes restarts Phase II from it
+    in a child, and the retrain starts as soon as the final one hands over
+    its result; that child then scores its own epochs and the retrain's, as
+    this process sends them. Each child's rows are thus one stretch of the
+    serial observer order (Phase I, Phase II, retrain): concatenated, with
+    the first histogram captured, every output is byte-identical to the
+    serial run's. cfg, the CLI's ExperimentConfig, is read by attribute.
     """
     view = train_ds.train_view()
     net = cfg.net_spec(view.features.shape[1], view.n_classes)
     opt = cfg.optimizer()
+    result = plus = None
+    phase2_rows, phase2_histogram = [], None
     with _one_blas_thread():
-        if cfg.method == "default":
-            engine.run_default(view, net, opt, cfg.q, seed, observer=collector)
-            return None, None
-        heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
         fresh = metrics.MetricsCollector(collector.train_ds, collector.test_view)
         scorer = _ForkedChild(seed, "scorer process")
         phase2 = _ForkedChild(seed, "Phase II process")
         try:
             scorer.start(_score_epochs, net, fresh)
-            ckpt = engine.phase1_train(
-                view, heur, net, opt, cfg.q, seed, lambda ctx: scorer.send(_epoch(ctx)),
-                on_checkpoint=lambda c: phase2.start(_phase2_body, c, view, opt, seed, fresh))
-            scorer.close()  # its last epoch is sent: it scores its backlog and exits
-            result = engine.PrestopResult(ckpt, *phase2.handover())
-            plus = None
-            if cfg.method == "prestopping_plus":
-                plus = refurbish.run_prestopping_plus(
-                    view, result.safe_set, net, opt, cfg.q, cfg.epsilon, seed,
-                    observer=lambda ctx: phase2.send(_epoch(ctx)))
-            phase2_rows, phase2_histogram = phase2.result()
+            score = lambda ctx: scorer.send(_epoch(ctx))
+            if cfg.method == "default":
+                engine.run_default(view, net, opt, cfg.q, seed, observer=score)
+            else:
+                heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
+                ckpt = engine.phase1_train(
+                    view, heur, net, opt, cfg.q, seed, score,
+                    on_checkpoint=lambda c: phase2.start(_phase2_body, c, view, opt, seed, fresh))
+                scorer.close()  # its last epoch is sent: it scores its backlog and exits
+                result = engine.PrestopResult(ckpt, *phase2.handover())
+                if cfg.method == "prestopping_plus":
+                    plus = refurbish.run_prestopping_plus(
+                        view, result.safe_set, net, opt, cfg.q, cfg.epsilon, seed,
+                        observer=lambda ctx: phase2.send(_epoch(ctx)))
+                phase2_rows, phase2_histogram = phase2.result()
             rows, histogram = scorer.result()
         finally:
             scorer.stop()

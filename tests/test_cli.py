@@ -45,14 +45,18 @@ def test_flag_beats_file_beats_default(tmp_path):
 
 
 def test_config_file_values_are_literal(tmp_path):
-    # [DEFAULT] is an ordinary section, alone or beside others, and % interpolates nothing
-    alone, beside, percent = tmp_path / "alone", tmp_path / "beside", tmp_path / "runs_50%"
+    # [DEFAULT] is an ordinary section, alone or beside others, % interpolates
+    # nothing, ASCII spaces and tabs around a key or a value go, and a comment
+    # may hold any whitespace
+    alone, beside, percent, tabbed = (tmp_path / name for name in (
+        "alone", "beside", "runs_50%", "tabbed"))
     for text, out in [(f"[DEFAULT]\nq = 5\nout = {alone}\n", alone),
                       (f"[DEFAULT]\nq = 5\n[method]\nmethod = default\n"
                        f"[run]\nout = {beside}\n", beside),
-                      (f"[method]\nq = 5\n[run]\nout = {percent}\n", percent)]:
+                      (f"[method]\nq = 5\n[run]\nout = {percent}\n", percent),
+                      (f"[method]\n# q =\u00a07\nq\t=\t5 \t\n[run]\nout:{tabbed}\t\n", tabbed)]:
         cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(text)
+        cfg_file.write_text(text, encoding="utf-8")
         flags = tiny_flags("unused", method="default", seeds="0", epochs=1)[:-2]  # no --out
         assert cli.main(["run", "--config", str(cfg_file)] + flags) == 0, text
         assert metrics.read_summary_json(out / "summary.json")["runs"][0]["q"] == 5, text
@@ -80,6 +84,17 @@ def test_validation_heuristic_needs_validation_split():
         cli.build_config(None, {"validation_size": "0"})
 
 
+def test_split_error_names_what_counted_the_total(tmp_path):
+    small = tmp_path / "small.csv"
+    data.write_csv(data.synth_gaussian(4, 25, 4, spread=0.4, seed=5), small)
+    for overrides, total in [({"per_class": "13"}, "52 (n_classes 4 x per_class 13)"),
+                             ({"data_csv": str(small)}, f"100 (the rows of data_csv {small})")]:
+        with pytest.raises(cli.ConfigError) as err:
+            cli.build_config(None, overrides)
+        assert str(err.value) == ("validation_size: 500 + test_size 1000 leave no training "
+                                  f"samples out of {total}")
+
+
 def test_shipped_default_config_is_valid():
     cfg = cli.build_config(ROOT_CFG, {})
     assert cfg.noise == "pair" and cfg.tau == 0.4 and cfg.seeds == (0, 1, 2)
@@ -92,6 +107,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     small, wide, malformed, nonfinite, undecodable, fullwidth = (tmp_path / name for name in (
         "small.csv", "wide.csv", "malformed.csv", "nonfinite.csv", "undecodable.cfg",
         "fullwidth.cfg"))
+    # configparser would strip a no-break space, an em space or U+001C around a key or value
+    spaced = {line: tmp_path / f"spaced{i}.cfg" for i, line in enumerate(
+        ["q = \u00a010", "out = runs\u00a0", "q\u00a0= 10", "\u2003q = 10", "epochs =\x1c5"])}
+    for line, path in spaced.items():
+        section = "run" if line.startswith("out") else "method"
+        path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
     data.write_csv(data.synth_gaussian(4, 25, 4, spread=0.4, seed=5), small)
     wide.write_text("".join(f"0.5,{k % 300}\n" for k in range(1800)))  # 300 classes
     malformed.write_text("0.5,1.5,0\n0.5,1\n")
@@ -118,6 +139,9 @@ def test_config_error_exit_code(tmp_path, capsys):
         (["--q", "\uff11\uff10"], "q"),
         (["--seeds", "\u0660,\u0661"], "seeds"),
         (["--config", str(fullwidth)], "q"),
+        # only ASCII whitespace may surround a config file's key or value
+        *[(["--config", str(path)], line.split("=")[0].strip())
+          for line, path in spaced.items()],
         # a config file is UTF-8 text
         (["--config", str(undecodable)], "config"),
         # predicted labels are stored as single bytes: 256 classes at most
@@ -712,14 +736,19 @@ def tiny_config(**kw):
 
 
 def serial_and_overlapped(cfg, seed):
-    """[(PrestopResult, MetricsCollector)] of engine.run_prestopping, then of
-    processes.train_seed."""
+    """[(PrestopResult or None, MetricsCollector)] of the serial run,
+    engine.run_default or engine.run_prestopping, then of processes.train_seed;
+    a default run's result is None."""
     train_ds, val_view, test_view = cli.build_dataset(cfg, seed)
     view = train_ds.train_view()
     net = cfg.net_spec(view.features.shape[1], view.n_classes)
-    heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
     serial = metrics.MetricsCollector(train_ds, test_view)
-    result = engine.run_prestopping(view, heur, net, cfg.optimizer(), cfg.q, seed, serial)
+    if cfg.method == "default":
+        engine.run_default(view, net, cfg.optimizer(), cfg.q, seed, observer=serial)
+        result = None
+    else:
+        heur = engine.StopHeuristic(cfg.heuristic, tau=cfg.tau, validation=val_view)
+        result = engine.run_prestopping(view, heur, net, cfg.optimizer(), cfg.q, seed, serial)
     overlapped = metrics.MetricsCollector(train_ds, test_view)
     o_result, plus = processes.train_seed(cfg, seed, train_ds, val_view, overlapped)
     assert plus is None
@@ -731,16 +760,20 @@ def phase2_children() -> list:
 
 
 def run_bytes(result, collector, work) -> dict:
-    """Every output of one two-phase run, as bytes or exact values; work is a new directory."""
+    """Every output of one run, as bytes or exact values; work is a new directory.
+    result is None for a default run, which has only its rows and histogram."""
     work.mkdir()
-    nn.save_network(result.checkpoint.state, work / "ckpt.pstp")
-    result.checkpoint.histories.save(work / "ckpt.psth")
-    nn.save_network(result.final_state, work / "final.pstp")
     metrics.write_metrics_csv(collector.rows, work / "metrics.csv")
+    if result is not None:
+        nn.save_network(result.checkpoint.state, work / "ckpt.pstp")
+        result.checkpoint.histories.save(work / "ckpt.psth")
+        nn.save_network(result.final_state, work / "final.pstp")
     out = {p.name: p.read_bytes() for p in work.iterdir()}
     hist = collector.histogram
     out["histogram"] = hist.epoch, hist.edges.tobytes(), hist.clean_counts.tobytes(), \
         hist.noisy_counts.tobytes()
+    if result is None:
+        return out
     out["checkpoint"] = result.checkpoint.epoch, result.checkpoint.trigger_value
     out["safe_set"] = result.safe_set.tobytes()
     h = result.histories
@@ -774,6 +807,14 @@ def test_overlapped_run_is_byte_identical_to_serial(tmp_path, monkeypatch, histo
     assert s_col.histogram.epoch == capture.epoch
     assert run_bytes(overlapped, o_col, tmp_path / "o") == \
         run_bytes(serial, s_col, tmp_path / "s")
+
+
+def test_scored_default_run_is_byte_identical_to_serial(tmp_path):
+    (serial, s_col), (scored, o_col) = serial_and_overlapped(
+        tiny_config(method="default", epochs=8), 0)
+    assert serial is None and scored is None
+    assert len(s_col.rows) == 8 and s_col.histogram is not None
+    assert run_bytes(scored, o_col, tmp_path / "o") == run_bytes(serial, s_col, tmp_path / "s")
 
 
 def failed_seed(tmp_path, capsys, method="prestopping") -> str:
@@ -892,31 +933,32 @@ def test_killed_cli_takes_its_processes_along(tmp_path, sig, seeds):
     # the CLI runs in a session of its own, so the session holds exactly the
     # processes it started, even those it forks after the last look
     n_seeds = len(seeds.split(","))
-    flags = tiny_flags(tmp_path, method="prestopping_plus", seeds=seeds, jobs=n_seeds,
-                       epochs=20000)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "prestopping.cli", "run", *flags],
-                            env=env, start_new_session=True, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    try:
-        # the CLI, a seed process per seed when there are two, and each seed's
-        # scorer and Phase II child
-        started = 1 + (n_seeds if n_seeds > 1 else 0) + 2 * n_seeds
-        deadline = time.monotonic() + 60
-        while len(session_members(proc.pid)) < started:
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.02)
-        os.kill(proc.pid, sig)
-        proc.wait(timeout=10)
-        deadline = time.monotonic() + 5
-        while left := session_members(proc.pid):
-            assert time.monotonic() < deadline, f"still running: {left}"
-            time.sleep(0.05)
-        assert not any(tmp_path.rglob("*seed*"))
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
+    # each seed's children: a scorer, and a Prestopping seed's Phase II child
+    for method, children in [("default", 1), ("prestopping_plus", 2)]:
+        flags = tiny_flags(tmp_path / method, method=method, seeds=seeds, jobs=n_seeds,
+                           epochs=20000)
+        proc = subprocess.Popen([sys.executable, "-m", "prestopping.cli", "run", *flags],
+                                env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        try:
+            # the CLI, a seed process per seed when there are two, and each seed's children
+            started = 1 + (n_seeds if n_seeds > 1 else 0) + children * n_seeds
+            deadline = time.monotonic() + 60
+            while len(session_members(proc.pid)) < started:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            os.kill(proc.pid, sig)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while left := session_members(proc.pid):
+                assert time.monotonic() < deadline, f"still running: {left}"
+                time.sleep(0.05)
+            assert not any(tmp_path.rglob("*seed*"))
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 # ----- the Prestopping+ retrain scored in a child process -----
@@ -1024,6 +1066,33 @@ def test_parent_makes_no_evaluation_during_the_retrain(tmp_path, monkeypatch):
     assert calls == [(False, 30)] * 5  # one per Phase I epoch
 
 
+@pytest.mark.parametrize("method", sorted(METHOD_ARTIFACTS))
+def test_no_method_scores_in_the_training_process(tmp_path, monkeypatch, method):
+    # the training process evaluates only the validation set, which the stop rule reads
+    parent, calls = os.getpid(), []
+    snapshot, histogram, evaluate = metrics.snapshot_epoch, metrics.loss_histogram, \
+        nn.evaluate_error
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            if os.getpid() == parent:
+                calls.append(name if name != "evaluate_error" else (name, len(args[0])))
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "snapshot_epoch", counted("snapshot_epoch", snapshot))
+    monkeypatch.setattr(metrics, "loss_histogram", counted("loss_histogram", histogram))
+    monkeypatch.setattr(nn, "evaluate_error", counted("evaluate_error", evaluate))
+    # 30 validation, 40 test and 80 training samples: the row counts tell them apart
+    assert cli.main(["run"] + tiny_flags(tmp_path, method=method, seeds="0",
+                                         test_size=40)) == 0
+    run_dir = tmp_path / method / "pair_0.3" / "seed0"
+    assert len(metrics.read_metrics_csv(run_dir / "metrics.csv")) >= 5  # scored, by children
+    assert any(run_dir.glob("hist_*.csv"))
+    validation_passes = [] if method == "default" else [("evaluate_error", 30)] * 5
+    assert calls == validation_passes  # one per Phase I epoch
+
+
 def test_each_child_is_sent_one_stretch_of_epochs(tmp_path, monkeypatch):
     sent, send = [], processes._ForkedChild.send
 
@@ -1059,8 +1128,9 @@ def test_the_scorer_is_done_with_before_the_retrain(tmp_path, monkeypatch):
 
 def test_scorer_death_names_seed_and_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(processes, "_score_epochs", lambda *args: os._exit(3))
-    assert failed_seed(tmp_path, capsys, "prestopping_plus") == \
-        "RuntimeError: seed 0: scorer process exited with code 3 without a result"
+    for method in ("default", "prestopping_plus"):
+        assert failed_seed(tmp_path / method, capsys, method) == \
+            "RuntimeError: seed 0: scorer process exited with code 3 without a result"
 
 
 def test_send_to_a_dead_child_names_seed_and_exit_code():
@@ -1171,13 +1241,17 @@ def test_cli_does_not_import_concurrent_futures():
 def test_scorer_error_fails_the_seed_as_in_a_serial_run(tmp_path, monkeypatch, capsys):
     snapshot = metrics.snapshot_epoch
 
-    def failing_in_the_retrain(ctx, *args):
-        if ctx.phase == "plus":
-            raise ValueError("scoring broke")
-        return snapshot(ctx, *args)
+    def failing_in(phase):
+        def snapshot_or_fail(ctx, *args):
+            if ctx.phase == phase:
+                raise ValueError("scoring broke")
+            return snapshot(ctx, *args)
+        return snapshot_or_fail
 
-    monkeypatch.setattr(metrics, "snapshot_epoch", failing_in_the_retrain)
-    assert failed_seed(tmp_path, capsys, "prestopping_plus") == "ValueError: scoring broke"
+    # a default seed's scorer, and the retrain's, scored in the Phase II process
+    for method, phase in [("default", "phase1"), ("prestopping_plus", "plus")]:
+        monkeypatch.setattr(metrics, "snapshot_epoch", failing_in(phase))
+        assert failed_seed(tmp_path / method, capsys, method) == "ValueError: scoring broke"
 
 
 def test_retrain_error_kills_the_scorer(tmp_path, monkeypatch, capsys):

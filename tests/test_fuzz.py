@@ -72,11 +72,13 @@ def reference_value(tp, text):
 
 
 def names_key(key, message):
-    """message names key; a split that leaves no training samples names the partition
-    sizes it adds up, whichever key set the total it is compared with."""
+    """message names key; a split that leaves no training samples starts with
+    validation_size, and names key among the partition sizes it adds up or the
+    keys that counted the total it is compared with."""
     return message.startswith(f"{key}:") or (
         key in ("n_classes", "per_class", "test_size")
-        and message.startswith("validation_size: ") and "leave no training samples" in message)
+        and message.startswith("validation_size: ") and "leave no training samples" in message
+        and f"{key} " in message)
 
 
 def test_every_config_value_is_rejected_by_key_or_read_as_the_reference_reads_it():
