@@ -26,7 +26,6 @@ import re
 import shutil
 import sys
 import time
-import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -176,39 +175,38 @@ CONVERTERS = metrics.field_table(ExperimentConfig, {
 
 
 def load_config_file(path) -> dict:
-    """Flat key = value file with sections; keys are globally unique, values are
-    literal (no % interpolation), and [DEFAULT] is an ordinary section.
-
-    configparser strips any Unicode whitespace around a key or a value; only
-    ASCII_SPACE may go, so any other there is an error naming the line's key.
-    """
-    cp = configparser.ConfigParser(interpolation=None, default_section=None)
-    cp.optionxform = str  # keys are case-sensitive
+    """Flat key = value file with sections; keys are globally unique and case-sensitive,
+    values literal, and [DEFAULT] an ordinary section. Trimmed of ASCII_SPACE, each
+    line is blank, a comment ('#' or ';' first), a new [section], or after one a key
+    and a value split at the first '=' or ':', each trimmed of ASCII_SPACE and of no
+    other whitespace, which is an error naming the key; any other line is an error."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}")
-    for line in lines:
-        if line.strip().startswith(("#", ";")):  # configparser's comment prefixes
+    values, sections = {}, []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip(ASCII_SPACE)
+        if not line or line.startswith(("#", ";")):
             continue
-        key, *value = re.split("[=:]", line, maxsplit=1)  # configparser's delimiters
-        for part in (key, *value):
-            if part.strip() != part.strip(ASCII_SPACE):
-                raise ConfigError(f"{key.strip() if value else 'config'}: non-ASCII "
-                                  f"whitespace around {part.strip(ASCII_SPACE)!r} in {path}")
-    try:
-        cp.read_file(lines, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"config: cannot parse {path}: {exc}")
-    values = {}
-    for section in cp.sections():
-        for key, raw in cp.items(section):
+        header = re.fullmatch(r"\[([^][]+)\]", line)
+        key, *value = (part.strip(ASCII_SPACE) for part in re.split("[=:]", line, maxsplit=1))
+        if header and header[1] not in sections:
+            sections.append(header[1])
+        elif line.startswith("[") or not (sections and value and key.strip()):
+            raise ConfigError(f"config: {path}: line {lineno}: expected a blank line, a comment, "
+                              f"a new [section] or a key = value line after one, got {line!r}")
+        else:
+            for part in (key, *value):
+                if part.strip() != part:
+                    raise ConfigError(f"{key.strip()}: non-ASCII whitespace around {part!r} "
+                                      f"in {path}, line {lineno}")
             if key not in CONVERTERS:
-                raise ConfigError(f"{key}: unknown key (section [{section}] of {path})")
+                raise ConfigError(f"{key}: unknown key (section [{sections[-1]}] of {path})")
             if key in values:
                 raise ConfigError(f"{key}: set twice in {path}")
-            values[key] = raw
+            values[key] = value[0]
     return values
 
 
@@ -260,10 +258,10 @@ def build_dataset(cfg: ExperimentConfig, seed: int):
 
 
 def _write_refurbished_csv(refurb, path) -> None:
+    idx = np.nonzero(refurb.mask)[0]
     with open(path, "w") as fh:
-        fh.write("index,refurbished_label,entropy\n")
-        for i in np.nonzero(refurb.mask)[0]:
-            fh.write(f"{i},{refurb.labels[i]},{repr(float(refurb.entropy[i]))}\n")
+        data.write_table(fh, ("index", "refurbished_label", "entropy"),
+                         zip(idx, refurb.labels[idx], refurb.entropy[idx]))
 
 
 @contextlib.contextmanager
@@ -332,7 +330,7 @@ def _write_aggregate(out, summaries, failures, written=()) -> dict:
     anew = set(written) | {f["run_dir"] for f in failures}
     with contextlib.suppress(OSError, ValueError):  # an unreadable earlier file is replaced
         failures = [f for f in _listed_failures(Path(out)) if f["run_dir"] not in anew] + failures
-    aggregate = metrics.summarize(summaries) if summaries else {"runs": [], "groups": []}
+    aggregate = metrics.summarize(summaries)
     aggregate["failures"] = failures
     Path(out).mkdir(parents=True, exist_ok=True)
     metrics.write_summary_json(aggregate, Path(out) / "summary.json")
@@ -401,13 +399,11 @@ def cmd_grid_q(cfg: ExperimentConfig, grid: tuple) -> int:
         written += [sub.run_dir(s.seed).relative_to(cfg.out).as_posix() for s in summaries]
     aggregate = _write_aggregate(cfg.out, all_summaries, all_failures, written)
     by_q = {g["q"]: g for g in aggregate["groups"]}
-    lines = ["q,n_runs,mean_best_test_error,se_best_test_error\n"]
-    for qv in sorted(grid):
-        g = by_q.get(qv)
-        lines.append(f"{qv},0,,\n" if g is None else
-                     f"{qv},{g['n_runs']},{repr(g['mean_best_test_error'])},"
-                     f"{repr(g['se_best_test_error'])}\n")
-    metrics.write_atomic(Path(cfg.out) / "grid_q.csv", lambda fh: fh.writelines(lines))
+    header = ("q", "n_runs", "mean_best_test_error", "se_best_test_error")
+    rows = [(qv, 0, None, None) if (g := by_q.get(qv)) is None else
+            (qv, *(g[column] for column in header[1:])) for qv in sorted(grid)]
+    metrics.write_atomic(Path(cfg.out) / "grid_q.csv",
+                         lambda fh: data.write_table(fh, header, rows))
     if all_summaries:
         print(_groups_table(aggregate["groups"]))
     return 1 if all_failures or not all_summaries else 0

@@ -17,9 +17,31 @@ def parse_number(text: str, kind=float):
     from text. Python's int and float alone would read '6_0' as 60 and any Unicode
     digit ('１０', '٣') as its value; here both are a ValueError. Surrounding
     spaces, a sign, an exponent and the nan/inf spellings pass as kind reads them."""
-    if not text.isascii() or "_" in text:
+    if not _plain(text):
         raise ValueError(f"not a plain ASCII number: {text!r}")
     return kind(text)
+
+
+def _plain(text: str) -> bool:
+    """parse_number's rule for the characters of a number: ASCII without '_'."""
+    return text.isascii() and "_" not in text
+
+
+def format_cell(value) -> str:
+    """The one rule for every number written as text, the twin of parse_number: a
+    float by repr, which parse_number reads back exactly, None as an empty cell,
+    anything else by str."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def write_table(fh, header, rows) -> None:
+    """The header line, if any, then each row as one line of comma-separated cells."""
+    if header:
+        fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(map(format_cell, row)) + "\n")
 
 
 def check_labels(labels, n_classes: int, name: str = "labels") -> np.ndarray:
@@ -228,11 +250,9 @@ def write_csv(dataset: NoisyDataset, path) -> None:
     """Full-precision text dump; load_csv(path, n_classes=dataset.n_classes)
     reproduces the dataset exactly."""
     with open(path, "w") as fh:
-        for i in range(dataset.n):
-            cells = [repr(float(v)) for v in dataset.features[i]]
-            cells.append(str(int(dataset.noisy_labels[i])))
-            cells.append(str(int(dataset.true_labels[i])))
-            fh.write(",".join(cells) + "\n")
+        write_table(fh, (), ((*f, noisy, true) for f, noisy, true in zip(
+            dataset.features.tolist(), dataset.noisy_labels.tolist(),
+            dataset.true_labels.tolist())))
 
 
 def load_csv(path, n_classes: int | None = None) -> NoisyDataset:
@@ -267,10 +287,16 @@ def load_csv(path, n_classes: int | None = None) -> NoisyDataset:
             if len(cells) != width:
                 raise ValueError(f"{path}: line {lineno}: expected {width} columns, "
                                  f"got {len(cells)}")
-            row = _parse_row(cells, n_labels, path, lineno)
-            feats.append(row[:-n_labels])
-            noisy.append(row[-n_labels])
-            true.append(row[-1])
+            try:  # parse_number on each cell, its character rule checked once per line
+                if not _plain(line):
+                    raise ValueError(line)
+                row = [float(c) for c in cells[:-n_labels]]
+                labels = [np.int64(c) for c in cells[-n_labels:]]
+            except (ValueError, OverflowError):
+                raise _cell_error(cells, n_labels, path, lineno) from None
+            feats.append(row)
+            noisy.append(labels[0])
+            true.append(labels[-1])
             linenos.append(lineno)
     if not feats:
         raise ValueError(f"{path}: no data rows")
@@ -303,16 +329,15 @@ def _header_labels(cells, path, lineno) -> int:
     return n_labels
 
 
-def _parse_row(cells, n_labels, path, lineno) -> list:
-    """Feature floats, then the n_labels trailing labels, plain integers that fit int64."""
-    row = []
+def _cell_error(cells, n_labels, path, lineno) -> ValueError:
+    """The error naming a row's first cell that parse_number cannot read: a feature
+    float, or one of the n_labels trailing labels, plain integers that fit int64."""
     for j, cell in enumerate(cells):
         what, kind = ("feature", float) if j < len(cells) - n_labels else ("label", np.int64)
         try:
-            row.append(parse_number(cell, kind))
+            parse_number(cell, kind)
         except (ValueError, OverflowError):
-            raise ValueError(f"{path}: line {lineno}: invalid {what} {cell!r}") from None
-    return row
+            return ValueError(f"{path}: line {lineno}: invalid {what} {cell!r}")
 
 
 def _is_number(cell: str, kind) -> bool:

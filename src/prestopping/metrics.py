@@ -17,7 +17,7 @@ from typing import Callable, Optional, get_args, get_type_hints
 import numpy as np
 
 from . import nn
-from .data import DataView, NoisyDataset, parse_number
+from .data import DataView, NoisyDataset, parse_number, write_table
 from .engine import EpochContext
 from .memorization import mp_mr
 
@@ -138,20 +138,10 @@ class MetricsCollector:
 
 # ----- file formats -----
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def write_metrics_csv(rows: list[EpochMetrics], path) -> None:
     """Header plus one row per epoch, full float precision, stable ordering."""
     with open(path, "w") as fh:
-        fh.write(",".join(CSV_FIELDS) + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(getattr(r, f)) for f in CSV_FIELDS) + "\n")
+        write_table(fh, CSV_FIELDS, ([getattr(r, f) for f in CSV_FIELDS] for r in rows))
 
 
 def read_metrics_csv(path) -> list[EpochMetrics]:
@@ -180,12 +170,9 @@ def read_metrics_csv(path) -> list[EpochMetrics]:
 
 def write_histogram_csv(hist: LossHistogram, path) -> None:
     """Columns: bin_left, bin_right, clean_density, noisy_density."""
-    cd, nd = hist.clean_density, hist.noisy_density
     with open(path, "w") as fh:
-        fh.write("bin_left,bin_right,clean_density,noisy_density\n")
-        for i in range(len(cd)):
-            fh.write(f"{_fmt(float(hist.edges[i]))},{_fmt(float(hist.edges[i + 1]))},"
-                     f"{_fmt(float(cd[i]))},{_fmt(float(nd[i]))}\n")
+        write_table(fh, ("bin_left", "bin_right", "clean_density", "noisy_density"),
+                    zip(hist.edges[:-1], hist.edges[1:], hist.clean_density, hist.noisy_density))
 
 
 # ----- run summaries -----

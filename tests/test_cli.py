@@ -46,15 +46,18 @@ def test_flag_beats_file_beats_default(tmp_path):
 
 def test_config_file_values_are_literal(tmp_path):
     # [DEFAULT] is an ordinary section, alone or beside others, % interpolates
-    # nothing, ASCII spaces and tabs around a key or a value go, and a comment
-    # may hold any whitespace
-    alone, beside, percent, tabbed = (tmp_path / name for name in (
-        "alone", "beside", "runs_50%", "tabbed"))
+    # nothing, ASCII spaces and tabs around a key or a value go, a comment may
+    # hold any whitespace, indentation continues nothing, and a value is split
+    # from its key at the first '=' or ':'
+    alone, beside, percent, tabbed, indented, colon = (tmp_path / name for name in (
+        "alone", "beside", "runs_50%", "tabbed", "indented", "a=b"))
     for text, out in [(f"[DEFAULT]\nq = 5\nout = {alone}\n", alone),
                       (f"[DEFAULT]\nq = 5\n[method]\nmethod = default\n"
                        f"[run]\nout = {beside}\n", beside),
                       (f"[method]\nq = 5\n[run]\nout = {percent}\n", percent),
-                      (f"[method]\n# q =\u00a07\nq\t=\t5 \t\n[run]\nout:{tabbed}\t\n", tabbed)]:
+                      (f"[method]\n# q =\u00a07\nq\t=\t5 \t\n[run]\nout:{tabbed}\t\n", tabbed),
+                      (f"[method]\nmethod = default\n  q = 5\n[run]\nout = {indented}\n", indented),
+                      (f"[method]\nq = 5\n[run]\nout: {colon}\n", colon)]:
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(text, encoding="utf-8")
         flags = tiny_flags("unused", method="default", seeds="0", epochs=1)[:-2]  # no --out
@@ -107,7 +110,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     small, wide, malformed, nonfinite, undecodable, fullwidth = (tmp_path / name for name in (
         "small.csv", "wide.csv", "malformed.csv", "nonfinite.csv", "undecodable.cfg",
         "fullwidth.cfg"))
-    # configparser would strip a no-break space, an em space or U+001C around a key or value
+    # only ASCII whitespace goes from around a key or a value: a no-break space, an
+    # em space or U+001C there is an error naming the key
     spaced = {line: tmp_path / f"spaced{i}.cfg" for i, line in enumerate(
         ["q = \u00a010", "out = runs\u00a0", "q\u00a0= 10", "\u2003q = 10", "epochs =\x1c5"])}
     for line, path in spaced.items():
@@ -119,6 +123,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     nonfinite.write_text("".join(f"{k / 7},{k % 3}\n" for k in range(99)) + "nan,1\n")
     undecodable.write_bytes(b"[run]\nout = runs\xff\n")
     fullwidth.write_text("[method]\nq = \uff11\uff10\n", encoding="utf-8")
+    # a line is blank, a comment, a new [section], or key = value after one: a
+    # continuation line, a header with more text, a repeated header, [], a line
+    # without a key and a key before any header are errors naming their line
+    lined = [(tmp_path / f"lined{i}.cfg", text, lineno) for i, (text, lineno) in enumerate(
+        [("[run]\njobs = 1\n  2\n", 3), ("[run] jobs = 1\n", 1), ("[run]\n[noise]\n[run]\n", 3),
+         ("[]\n", 1), ("[run]\n= 5\n", 2), ("jobs = 1\n[run]\n", 1)])]
+    for path, text, _ in lined:
+        path.write_text(text)
     for flags, key in [
         (["--method", "prestopping", "--heuristic", "noise_rate", "--noise", "none"], "tau"),
         (["--q", "300"], "q"),
@@ -144,6 +156,8 @@ def test_config_error_exit_code(tmp_path, capsys):
           for line, path in spaced.items()],
         # a config file is UTF-8 text
         (["--config", str(undecodable)], "config"),
+        *[(["--config", str(path)], f"config: {path}: line {lineno}")
+          for path, _, lineno in lined],
         # predicted labels are stored as single bytes: 256 classes at most
         (["--method", "default", "--n_classes", "300", "--per_class", "3",
           "--validation_size", "10", "--test_size", "10"], "n_classes"),
@@ -205,7 +219,7 @@ def test_out_must_name_a_directory(tmp_path, capsys):
 
 
 def test_keys_and_flags_are_exact(tmp_path, capsys):
-    # configparser would lowercase Q to q, and argparse would take --epo for --epochs
+    # a key is case-sensitive (Q is not q), and argparse would take --epo for --epochs
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("[method]\nQ = 7\n")
     assert cli.main(["run", "--config", str(cfg_file)]) == 2
@@ -1232,9 +1246,11 @@ def test_processes_does_not_import_cli():
 
 
 def test_cli_does_not_import_concurrent_futures():
-    # every process the CLI starts is a _ForkedChild: no executor is loaded
+    # every process the CLI starts is a _ForkedChild: no executor is loaded; and
+    # load_config_file reads a config file's lines itself: no configparser either
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = "import sys, prestopping.cli; sys.exit('concurrent.futures' in sys.modules)"
+    code = ("import sys, prestopping.cli; "
+            "sys.exit(any(m in sys.modules for m in ('concurrent.futures', 'configparser')))")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

@@ -1,9 +1,10 @@
 """Seeded fuzz of every input read from text or from a file.
 
 Each mutated input is either rejected with a ValueError (a ConfigError for a
-config value) naming its key, file or line, or read as an independent
-reference reads it: regular expressions for the ASCII number grammar the
-README documents, and a byte-for-byte re-save for the binary checkpoint files.
+config value or line) naming its key, file or line, or read as an independent
+reference reads it: regular expressions for the ASCII number grammar and the
+config file's line grammar the README documents, and a byte-for-byte re-save
+for the binary checkpoint files.
 One fixed random.Random drives every mutation, nothing trains, and the whole
 module runs in about a second.
 """
@@ -104,6 +105,58 @@ def test_every_config_value_is_rejected_by_key_or_read_as_the_reference_reads_it
             if isinstance(want, tuple):
                 assert [type(x) for x in got] == [type(x) for x in want], (key, text)
     assert accepted > 100  # the mutants do not all miss the grammar
+
+
+# ----- config files -----
+
+CONFIG_SPACE = "[ \t\r\v\f]*"  # the ASCII whitespace a config line, key or value loses
+BARE = re.compile(r"(?:\S(?:.*\S)?)?")  # no whitespace of any script at either end
+CONFIG_KEYS = set(get_type_hints(cli.ExperimentConfig))
+
+
+def reference_config(text, path):
+    """The {key: value} the README's line grammar reads from text, or the start of
+    the message of the first line it rejects: 'config: <path>: line <n>: ' for a
+    line that fits no rule, '<key>: ' for a key line it cannot keep."""
+    values, sections = {}, set()
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        body = re.fullmatch(rf"{CONFIG_SPACE}(.*?){CONFIG_SPACE}", line)[1]
+        if not body or body[0] in "#;":
+            continue
+        header = re.fullmatch(r"\[([^][]+)\]", body)
+        entry = re.fullmatch(rf"([^=:]*?){CONFIG_SPACE}[=:]{CONFIG_SPACE}(.*)", body)
+        if header and header[1] not in sections:
+            sections.add(header[1])
+            continue
+        if body[0] == "[" or entry is None or not sections or re.fullmatch(r"\s*", entry[1]):
+            return f"config: {path}: line {lineno}: "
+        key, value = entry.groups()
+        if not (BARE.fullmatch(key) and BARE.fullmatch(value)) \
+                or key not in CONFIG_KEYS or key in values:
+            return f"{key.strip()}: "
+        values[key] = value
+    return values
+
+
+def test_every_config_line_edit_is_rejected_by_key_or_line_or_read_as_the_reference_reads_it(
+        tmp_path):
+    rand = random.Random(5)
+    with open("configs/default.cfg", encoding="utf-8") as fh:
+        shipped = fh.read()
+    path = tmp_path / "exp.cfg"
+    accepted = rejected = 0
+    for text in mutants(rand, shipped, 1000, ALPHABET + "[]=:#;%\n"):
+        path.write_text(text, encoding="utf-8")
+        want = reference_config(text, path)
+        try:
+            got = cli.load_config_file(path)
+        except cli.ConfigError as exc:
+            rejected += 1
+            assert isinstance(want, str) and str(exc).startswith(want), (text, str(exc), want)
+            continue
+        accepted += 1
+        assert got == want, text
+    assert accepted > 100 and rejected > 100, (accepted, rejected)
 
 
 # ----- CSV datasets -----
