@@ -3,9 +3,11 @@
 A sample counts as memorized when the most frequent label in its recent
 prediction history equals its (noisy) training label. Histories are ring
 buffers of the last q predicted labels; until q predictions exist, label
-frequencies use the current history length as denominator. Each sample's
-label counts over its ring are kept up to date as labels are recorded, so
-no query recounts the rings.
+frequencies use the current history length as denominator. Each sample keeps
+three things: its ring, its label counts over the ring, and one counter of
+the predictions it has recorded. The counter alone gives the history length,
+min(recorded, q), and the next write slot, recorded % q. The label counts are
+kept up to date as labels are recorded, so no query recounts the rings.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ class PredictionHistory:
         self.q = int(q)
         self.n_classes = int(n_classes)
         self._buf = np.zeros((n_samples, q), dtype=np.uint8)
-        self._fill = np.zeros(n_samples, dtype=np.int64)
-        self._pos = np.zeros(n_samples, dtype=np.int64)
+        self._recorded = np.zeros(n_samples, dtype=np.int64)  # predictions so far
         # (n, k) occurrences of each label in each ring; a count never exceeds q
         self._counts = np.zeros((n_samples, n_classes), dtype=np.uint8)
 
@@ -53,19 +54,18 @@ class PredictionHistory:
             raise ValueError("indices and labels disagree on shape")
         if len(indices) == 0:
             return
-        ordered = np.sort(indices)  # duplicates end up next to each other
-        if np.any(ordered[1:] == ordered[:-1]):
+        if np.bincount(indices).max() > 1:
             raise ValueError("duplicate sample indices in one recording call")
-        pos = self._pos[indices]
+        recorded = self._recorded[indices]
+        slot = recorded % self.q
         cells = indices * self.n_classes  # row starts in the flat count table
         counts = self._counts.reshape(-1)
         # a full ring's write evicts its oldest label; distinct indices never
         # repeat a cell within one statement
-        counts[cells + self._buf[indices, pos]] -= self._fill[indices] == self.q
+        counts[cells + self._buf[indices, slot]] -= recorded >= self.q
         counts[cells + labels] += 1
-        self._buf[indices, pos] = labels
-        self._pos[indices] = (pos + 1) % self.q
-        self._fill[indices] = np.minimum(self._fill[indices] + 1, self.q)
+        self._buf[indices, slot] = labels
+        self._recorded[indices] = recorded + 1
 
     def _checked(self, indices) -> np.ndarray:
         """indices, one sample index or an array of them, as int64 in [0, n_samples)."""
@@ -80,16 +80,15 @@ class PredictionHistory:
     # ----- queries -----
 
     def history_length(self, index: int) -> int:
-        return int(self._fill[self._checked(index)])
+        return min(int(self._recorded[self._checked(index)]), self.q)
 
     def history_of(self, index: int) -> np.ndarray:
         """Recorded labels oldest to newest."""
         index = self._checked(index)
-        fill = self._fill[index]
-        if fill < self.q:
-            return self._buf[index, :fill].astype(np.int64)
-        pos = self._pos[index]
-        return np.concatenate([self._buf[index, pos:], self._buf[index, :pos]]).astype(np.int64)
+        recorded = self._recorded[index]
+        if recorded < self.q:
+            return self._buf[index, :recorded].astype(np.int64)
+        return np.roll(self._buf[index], -(recorded % self.q)).astype(np.int64)
 
     def label_counts(self, indices=None) -> np.ndarray:
         """(m, n_classes) occurrence counts over each sample's current history."""
@@ -100,10 +99,10 @@ class PredictionHistory:
         """Frequency of label in the sample's history; error when history is empty."""
         label = check_labels([label], self.n_classes, "label")[0]
         index = self._checked(index)
-        fill = self._fill[index]
-        if fill == 0:
+        recorded = self._recorded[index]
+        if recorded == 0:
             raise ValueError(f"sample {index} has an empty history")
-        return float(self._counts[index, label]) / float(fill)
+        return float(self._counts[index, label]) / float(min(recorded, self.q))
 
     def is_memorized(self, index: int, noisy_label: int) -> bool:
         """Most frequent history label equals the training label (ties: smallest)."""
@@ -114,24 +113,23 @@ class PredictionHistory:
 
         noisy_labels align with indices, or with every sample when indices is None.
         """
-        counts, fill = self._counts, self._fill
+        counts, recorded = self._counts, self._recorded
         if indices is not None:
             indices = self._checked(indices)
-            counts, fill = counts[indices], fill[indices]
+            counts, recorded = counts[indices], recorded[indices]
         noisy_labels = check_labels(noisy_labels, self.n_classes, "noisy_labels")
-        if len(noisy_labels) != len(fill):
-            raise ValueError(f"noisy_labels must align with {len(fill)} samples, "
+        if len(noisy_labels) != len(recorded):
+            raise ValueError(f"noisy_labels must align with {len(recorded)} samples, "
                              f"got {len(noisy_labels)}")
         top = np.argmax(counts, axis=1)  # first max = smallest class on ties
-        return (fill > 0) & (top == noisy_labels)
+        return (recorded > 0) & (top == noisy_labels)
 
     # ----- lifecycle -----
 
     def copy(self) -> "PredictionHistory":
         dup = PredictionHistory(self.n_samples, self.q, self.n_classes)
         dup._buf = self._buf.copy()
-        dup._fill = self._fill.copy()
-        dup._pos = self._pos.copy()
+        dup._recorded = self._recorded.copy()
         dup._counts = self._counts.copy()
         return dup
 
@@ -141,14 +139,15 @@ class PredictionHistory:
 
     def save(self, path) -> None:
         # row i of table is sample i's length byte, then its ring oldest first
-        # (a full ring starts at the write position); the cells past each
-        # length are masked out, and row-major order concatenates the records
-        start = np.where(self._fill == self.q, self._pos, 0)
-        ring = (start[:, None] + np.arange(self.q)) % self.q
+        # (the oldest stored prediction, number recorded - length, sits in
+        # slot (recorded - length) % q); the cells past each length are
+        # masked out, and row-major order concatenates the records
+        length = np.minimum(self._recorded, self.q)
+        ring = (self._recorded - length)[:, None] + np.arange(self.q)
         table = np.empty((self.n_samples, self.q + 1), dtype=np.uint8)
-        table[:, 0] = self._fill
-        table[:, 1:] = np.take_along_axis(self._buf, ring, axis=1)
-        body = table[np.arange(self.q + 1) <= self._fill[:, None]]
+        table[:, 0] = length
+        table[:, 1:] = np.take_along_axis(self._buf, ring % self.q, axis=1)
+        body = table[np.arange(self.q + 1) <= length[:, None]]
         with open(path, "wb") as fh:
             fh.write(HISTORY_MAGIC)
             fh.write(struct.pack("<II", self.n_samples, self.q))

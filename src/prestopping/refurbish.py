@@ -68,8 +68,7 @@ def refurbish_candidates(histories: PredictionHistory,
                          f"histories cover {n}")
     counts = histories.label_counts()
     ent = normalized_entropy(counts, histories.n_classes)
-    filled = counts.sum(axis=1) > 0
-    mask = (~config.trusted_mask) & filled & (np.nan_to_num(ent, nan=2.0) <= config.epsilon)
+    mask = ~config.trusted_mask & (ent <= config.epsilon)  # an empty history's nan is never <=
     labels = np.full(n, -1, dtype=np.int64)
     labels[mask] = np.argmax(counts[mask], axis=1)  # ties: smallest class index
     return RefurbishedSet(labels, ent, mask)

@@ -133,6 +133,8 @@ def test_config_error_exit_code(tmp_path, capsys):
         path.write_text(text)
     for flags, key in [
         (["--method", "prestopping", "--heuristic", "noise_rate", "--noise", "none"], "tau"),
+        # without a config file noise defaults to none, so --noise needs a --tau
+        (["--noise", "pair", "--seeds", "0"], "tau"),
         (["--q", "300"], "q"),
         (["--decay_points", "1.0"], "decay_points"),
         (["--decay_points", "0.75,0.5"], "decay_points"),
@@ -791,7 +793,7 @@ def run_bytes(result, collector, work) -> dict:
     out["checkpoint"] = result.checkpoint.epoch, result.checkpoint.trigger_value
     out["safe_set"] = result.safe_set.tobytes()
     h = result.histories
-    out["histories"] = h.q, h._buf.tobytes(), h._fill.tobytes(), h._pos.tobytes()
+    out["histories"] = h.q, h._buf.tobytes(), h._recorded.tobytes()
     return out
 
 

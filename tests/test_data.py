@@ -70,6 +70,8 @@ def test_pair_matrix_entries():
 
 
 def test_matrix_validation():
+    with pytest.raises(ValueError, match=r"must be square, got \(2, 3\)"):
+        data.TransitionMatrix(np.full((2, 3), 1 / 3))
     with pytest.raises(ValueError):
         data.TransitionMatrix(np.array([[0.5, 0.4], [0.0, 1.0]]))
     with pytest.raises(ValueError):
@@ -138,6 +140,13 @@ def test_confusion_matrix_converges_to_transition():
         assert p > 0.001
 
 
+def test_stream_keys_are_non_negative():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        rng.stream(-1, "noise")
+    with pytest.raises(ValueError, match=r"extra key parts must be non-negative, got \(1, -2\)"):
+        rng.derive_seed(0, "shuffle", 1, -2)
+
+
 def test_noise_deterministic_per_seed():
     ds = make_ds(n=400)
     m = data.build_pair_matrix(4, 0.4)
@@ -156,6 +165,19 @@ def test_train_view_cannot_expose_true_labels():
     assert not hasattr(view, "true_labels")
     assert not hasattr(view, "noisy_labels")
     assert np.array_equal(view.labels, ds.noisy_labels)
+
+
+def test_datasets_reject_features_and_labels_that_disagree():
+    x = np.zeros((2, 3))
+    for call, message in [
+            (lambda: data.DataView(x, [0, 1, 0], 4), "features and labels disagree on length"),
+            (lambda: data.NoisyDataset(x, [0, 0], [0, 0], 1), "need at least 2 classes, got 1"),
+            (lambda: data.NoisyDataset(np.zeros(2), [0, 1], [0, 1], 4),
+             r"features must be 2-d, got shape \(2,\)"),
+            (lambda: data.NoisyDataset(x, [0, 1, 0], [0, 1, 0], 4),
+             "label arrays disagree with feature count")]:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_split_partitions_are_disjoint_and_clean():
@@ -266,6 +288,11 @@ def test_csv_errors_name_lines(tmp_path):
     with pytest.raises(ValueError, match=r"undecodable.csv: line 3: a CSV file is ASCII, "
                                          r"got b'0.5,1\\xff.5,0'"):
         data.load_csv(undecodable)
+
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("feature_0,noisy_label\n")
+    with pytest.raises(ValueError, match="header_only.csv: no data rows"):
+        data.load_csv(header_only)
 
 
 def test_csv_documented_header_names_the_label_columns(tmp_path):

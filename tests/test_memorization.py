@@ -128,6 +128,8 @@ def test_memorized_mask_matches_per_sample_calls():
     mask = h.memorized_mask(noisy)
     for i in range(50):
         assert mask[i] == h.is_memorized(i, noisy[i])
+    with pytest.raises(ValueError, match="noisy_labels must align with 50 samples, got 49"):
+        h.memorized_mask(noisy[1:])
 
 
 # ----- precision / recall -----
@@ -182,12 +184,16 @@ def test_constructor_messages_start_with_the_field():
 
 def test_record_batch_validation():
     h = mem.PredictionHistory(5, q=3, n_classes=3)
-    with pytest.raises(ValueError):
-        h.record_batch([0, 0], [1, 2])
-    with pytest.raises(ValueError):
-        h.record_batch([0, 9], [1, 2])
-    with pytest.raises(ValueError):
-        h.record_batch([0, 1], [1, 3])
+    for indices, labels, message in [
+            ([0, 0], [1, 2], "duplicate sample indices"),
+            ([3, 1, 3], [1, 2, 0], "duplicate sample indices"),
+            ([0, 9], [1, 2], "out of range"),
+            ([0, 1], [1, 3], "^labels must"),
+            ([0, 1], [1], "indices and labels disagree on shape"),
+            ([0.0, 1.0], [1, 2], "sample indices must be integers, got float64")]:
+        with pytest.raises(ValueError, match=message):
+            h.record_batch(indices, labels)
+    assert h.history_length(0) == 0 and h.history_length(3) == 0  # nothing recorded
 
 
 @pytest.mark.parametrize("index", [-1, -3, 3, 4])

@@ -43,6 +43,8 @@ def test_snapshot_counts_add_up():
 def test_collector_tracks_epochs_and_histogram_trigger():
     train, test = scored_problem()
     collector = metrics.MetricsCollector(train, test)
+    with pytest.raises(ValueError, match="no epochs recorded"):
+        collector.best_test_error
     cfg = nn.OptimizerConfig(base_lr=0.1, batch_size=32, total_epochs=6)
     engine.run_default(train.train_view(), nn.NetworkSpec((4, 8, 3)), cfg,
                        q=3, seed=9, observer=collector)
@@ -144,7 +146,9 @@ def test_metrics_csv_bad_cell_names_file_line_and_column(tmp_path):
     header, first, second = path.read_text().splitlines()
     for lines, where in [([header, first, "x" + second[1:]], "line 3: epoch:"),
                          ([header, first.replace(",0.45,", ",,"), second],
-                          "line 2: test_error:")]:
+                          "line 2: test_error:"),
+                         ([header, first, second + ",0"],
+                          f"line 3: expected {len(metrics.CSV_FIELDS)} cells, got")]:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as info:
             metrics.read_metrics_csv(path)

@@ -141,6 +141,8 @@ def test_forward_rows_sum_to_one():
     probs = nn.forward(x, state)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert probs.min() >= 0.0
+    # one output column: the softmax of any logit is exactly 1
+    assert np.array_equal(nn.forward(x[:, :3], small_state(5, sizes=(3, 1))), np.ones((40, 1)))
 
 
 def test_forward_rejects_wrong_width():
