@@ -246,15 +246,6 @@ def split(dataset: NoisyDataset, spec: SplitSpec):
 # columns: d feature columns, then the noisy label, then optionally the true label;
 # an optional first line names them feature_0..feature_{d-1},noisy_label[,true_label]
 
-def write_csv(dataset: NoisyDataset, path) -> None:
-    """Full-precision text dump; load_csv(path, n_classes=dataset.n_classes)
-    reproduces the dataset exactly."""
-    with open(path, "w") as fh:
-        write_table(fh, (), ((*f, noisy, true) for f, noisy, true in zip(
-            dataset.features.tolist(), dataset.noisy_labels.tolist(),
-            dataset.true_labels.tolist())))
-
-
 def load_csv(path, n_classes: int | None = None) -> NoisyDataset:
     """Parse a feature+label CSV; errors name the offending 1-indexed line.
 

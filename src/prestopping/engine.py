@@ -104,10 +104,11 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
     in [0, n_classes). member, an (n,) bool mask fixed for the epoch,
     restricts each batch's gradient to its members and divides by their
     count; None trains on every sample. Both are checked once, with the
-    features' width, before anything trains. Batches without members are
-    only forward-passed. Features, labels and member mask are gathered once
-    in shuffled order, so each batch is a slice, and every batch step writes
-    into one nn._TrainKernel. Each sample's prediction comes from its batch's
+    features' width, before anything trains. Features, labels and member
+    mask are gathered once in shuffled order, so each batch is a slice, and
+    every batch, with or without members, runs one nn.loss_grad_probs step
+    on one nn._TrainKernel; a batch without members stops after its forward
+    pass and takes no update. Each sample's prediction comes from its batch's
     forward pass, before that batch's update, and all of them are recorded
     in one write after the last batch: every sample is in exactly one batch,
     and nothing reads the histories mid-epoch. Returns True when at least
@@ -141,12 +142,8 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
         mask = None if member is None else member[lo:hi]
         n_used = hi - lo if mask is None else int(np.count_nonzero(mask))
         before = state.copy() if step_hook is not None else None
-        if n_used > 0:
-            _, grad, _, probs = nn.loss_grad_probs(features[lo:hi], labels[lo:hi], state,
-                                                   sample_mask=mask, denom=n_used,
-                                                   kernel=kernel)
-        else:
-            probs = nn.forward(features[lo:hi], state)
+        _, grad, _, probs = nn.loss_grad_probs(features[lo:hi], labels[lo:hi], state,
+                                               sample_mask=mask, denom=n_used, kernel=kernel)
         probs.argmax(axis=1, out=preds[lo:hi])  # the method skips np.argmax's dispatcher
         if n_used > 0:
             nn.sgd_step(state, grad, config, epoch, kernel=kernel)

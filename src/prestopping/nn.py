@@ -366,6 +366,8 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
     makes the same calls in the same order, but checks none of its inputs
     (train_epoch checks them once per epoch) and computes no loss: it returns
     (None, grad, None, probs), and the next step overwrites grad and probs.
+    A kernel step with denom 0, a batch without members, stops after the
+    softmax and returns (None, None, None, probs).
     """
     reference = kernel is None
     if reference:
@@ -388,6 +390,8 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
     acts = _layer_outputs(features, state, outs)
     probs = acts.pop()  # logits until _softmax_ce overwrites them
     per_sample = _softmax_ce(probs, labels if reference else None, m, s, row_max)
+    if denom == 0:  # only a kernel step gets here with no member: no gradient to take
+        return None, None, None, probs
     delta = deltas[-1]
     delta[...] = probs
     delta[rows, labels] -= 1.0
@@ -412,13 +416,11 @@ def sgd_step(state: NetworkState, grad, config: OptimizerConfig, epoch: int,
     if kernel is None and np.shape(grad) != state.params.shape:
         raise ValueError(f"gradient shape {np.shape(grad)} != parameter shape "
                          f"{state.params.shape}")
+    lr, update = (config.lr_at(epoch), None) if kernel is None else (kernel.lr, kernel.update)
     v = state.velocity
     v *= config.momentum
     v += grad
-    if kernel is None:
-        state.params -= config.lr_at(epoch) * v
-    else:
-        state.params -= np.multiply(kernel.lr, v, out=kernel.update)
+    state.params -= np.multiply(lr, v, out=update)
     return state
 
 

@@ -2,14 +2,15 @@
 
 These deliberately avoid calling library code: explicit numpy on the same
 array shapes the trainer uses, so exact (bitwise) comparisons are meaningful.
-empty_refurbished is the one fixture here: a library object for a test to fill.
+Two fixtures build on the library: empty_refurbished, an object for a test to
+fill, and write_csv, which dumps a dataset through data.write_table.
 """
 
 from collections import Counter
 
 import numpy as np
 
-from prestopping import refurbish
+from prestopping import data, refurbish
 
 
 def straight_line_forward(weights, biases, x):
@@ -77,3 +78,13 @@ def empty_refurbished(n):
     """A RefurbishedSet of n samples with no member: labels -1, entropies nan."""
     return refurbish.RefurbishedSet(np.full(n, -1, dtype=np.int64), np.full(n, np.nan),
                                     np.zeros(n, dtype=bool))
+
+
+def write_csv(dataset, path):
+    """Full-precision text dump of a NoisyDataset, one row per sample: features,
+    noisy label, true label. data.load_csv(path, n_classes=dataset.n_classes)
+    reproduces the dataset exactly."""
+    with open(path, "w") as fh:
+        data.write_table(fh, (), ((*f, noisy, true) for f, noisy, true in zip(
+            dataset.features.tolist(), dataset.noisy_labels.tolist(),
+            dataset.true_labels.tolist())))

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import write_csv
 from prestopping import cli, data, engine, metrics, nn, processes, refurbish
 
 ROOT_CFG = "configs/default.cfg"
@@ -89,7 +90,7 @@ def test_validation_heuristic_needs_validation_split():
 
 def test_split_error_names_what_counted_the_total(tmp_path):
     small = tmp_path / "small.csv"
-    data.write_csv(data.synth_gaussian(4, 25, 4, spread=0.4, seed=5), small)
+    write_csv(data.synth_gaussian(4, 25, 4, spread=0.4, seed=5), small)
     for overrides, total in [({"per_class": "13"}, "52 (n_classes 4 x per_class 13)"),
                              ({"data_csv": str(small)}, f"100 (the rows of data_csv {small})")]:
         with pytest.raises(cli.ConfigError) as err:
@@ -117,7 +118,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     for line, path in spaced.items():
         section = "run" if line.startswith("out") else "method"
         path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
-    data.write_csv(data.synth_gaussian(4, 25, 4, spread=0.4, seed=5), small)
+    write_csv(data.synth_gaussian(4, 25, 4, spread=0.4, seed=5), small)
     wide.write_text("".join(f"0.5,{k % 300}\n" for k in range(1800)))  # 300 classes
     malformed.write_text("0.5,1.5,0\n0.5,1\n")
     nonfinite.write_text("".join(f"{k / 7},{k % 3}\n" for k in range(99)) + "nan,1\n")
@@ -465,7 +466,7 @@ def test_failing_seed_does_not_stop_others(tmp_path, monkeypatch, capsys, jobs, 
 def test_csv_dataset_input(tmp_path):
     ds = data.synth_gaussian(3, 40, 4, spread=0.4, seed=5)
     csv_path = tmp_path / "blobs.csv"
-    data.write_csv(ds, csv_path)
+    write_csv(ds, csv_path)
     rc = cli.main(["run"] + tiny_flags(tmp_path / "out", data_csv=str(csv_path),
                                        noise="pair", tau=0.3, seeds="0", epochs=3))
     assert rc == 0
@@ -476,14 +477,14 @@ def test_csv_dataset_input(tmp_path):
 
 def test_csv_is_parsed_once_per_invocation(tmp_path, monkeypatch, capsys):
     csv_path, calls, load = tmp_path / "blobs.csv", [], data.load_csv
-    data.write_csv(data.synth_gaussian(3, 40, 4, spread=0.4, seed=5), csv_path)
+    write_csv(data.synth_gaussian(3, 40, 4, spread=0.4, seed=5), csv_path)
     monkeypatch.setattr(data, "load_csv", lambda path: calls.append(path) or load(path))
     flags = tiny_flags(tmp_path / "out", data_csv=str(csv_path), method="default",
                        seeds="0,1,2", epochs=1)
     assert cli.main(["run"] + flags) == 0
     assert len(calls) == 1  # validate's parse serves every seed
     # a file rewritten before the next invocation is read again: now it is too small
-    data.write_csv(data.synth_gaussian(3, 10, 4, spread=0.4, seed=5), csv_path)
+    write_csv(data.synth_gaussian(3, 10, 4, spread=0.4, seed=5), csv_path)
     assert cli.main(["run"] + flags) == 2
     assert len(calls) == 2
     assert "config error: validation_size:" in capsys.readouterr().err

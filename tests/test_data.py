@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import write_csv
 from prestopping import data, engine, memorization, nn, rng
 
 
@@ -218,7 +219,7 @@ def test_split_deterministic():
 def test_csv_round_trip_identity(tmp_path):
     ds = data.inject_noise(make_ds(n=60), data.build_symmetric_matrix(4, 0.4), seed=41)
     path = tmp_path / "ds.csv"
-    data.write_csv(ds, path)
+    write_csv(ds, path)
     back = data.load_csv(path, n_classes=4)
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.noisy_labels, ds.noisy_labels)
@@ -298,7 +299,7 @@ def test_csv_errors_name_lines(tmp_path):
 def test_csv_documented_header_names_the_label_columns(tmp_path):
     ds = data.inject_noise(make_ds(n=20), data.build_pair_matrix(4, 0.4), seed=3)
     plain = tmp_path / "plain.csv"
-    data.write_csv(ds, plain)
+    write_csv(ds, plain)
     two = tmp_path / "two.csv"
     two.write_text("feature_0,feature_1,feature_2,noisy_label,true_label\n"
                    + plain.read_text())

@@ -57,11 +57,15 @@ def test_batches_partition_every_sample_once():
     assert not all(np.array_equal(a, b) for a, b in zip(batches, other))
 
 
-def test_train_epoch_records_each_sample_once_with_its_pre_update_prediction():
+def test_train_epoch_records_each_sample_once_with_its_pre_update_prediction(monkeypatch):
     # one history entry per sample per epoch: the argmax of its batch's forward
     # pass under the parameters before that batch's update; each update is the
     # one the public loss_grad_probs and sgd_step make, without a kernel, from
-    # the state before it
+    # the state before it. Every batch, a member-less one too, is forward-passed
+    # by the kernel step, never by the whole-set nn.forward
+    def no_forward(*args, **kwargs):
+        raise AssertionError("train_epoch called nn.forward")
+
     view = toy_problem(tau=0.3, seed=17).train_view()
     cfg = small_config(epochs=3)
     assert view.n % cfg.batch_size  # a short last batch
@@ -72,8 +76,10 @@ def test_train_epoch_records_each_sample_once_with_its_pre_update_prediction():
     for epoch in (1, 2, 3):
         records = []
         mask = member if epoch == 2 else None
-        engine.train_epoch(view, state, hist, cfg, epoch, 17,
-                           member=mask, step_hook=records.append)
+        with monkeypatch.context() as patched:
+            patched.setattr(nn, "forward", no_forward)
+            engine.train_epoch(view, state, hist, cfg, epoch, 17,
+                               member=mask, step_hook=records.append)
         seen = np.concatenate([rec.indices for rec in records])
         assert np.array_equal(np.sort(seen), np.arange(view.n))
         assert all(hist.history_length(i) == epoch for i in range(view.n))

@@ -16,6 +16,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
+from helpers import write_csv
 from prestopping import cli, data, memorization, metrics, nn, rng
 
 # what an edit inserts: the characters of the ASCII grammar and its separators,
@@ -206,7 +207,7 @@ def test_every_csv_body_is_rejected_by_line_or_read_as_the_reference_reads_it(tm
     ds = data.inject_noise(data.synth_gaussian(3, 2, 2, 0.4, seed=1),
                            data.build_pair_matrix(3, 0.5), seed=2)
     path = tmp_path / "body.csv"
-    data.write_csv(ds, path)
+    write_csv(ds, path)
     plain = path.read_text()
     bodies = [plain, "feature_0,feature_1,noisy_label,true_label\n" + plain,
               "".join(line.rsplit(",", 1)[0] + "\n" for line in plain.splitlines())]
