@@ -44,25 +44,42 @@ def write_table(fh, header, rows) -> None:
         fh.write(",".join(map(format_cell, row)) + "\n")
 
 
-def check_labels(labels, n_classes: int, name: str = "labels") -> np.ndarray:
+def check_labels(labels, n_classes: int, name: str = "labels", n=None) -> np.ndarray:
     """labels as a 1-D int64 array in [0, n_classes); int64 input is not copied.
 
-    The one rule for every label input: a non-empty input must have an
-    integer dtype (floats are not truncated, bools are not classes), be 1-D
-    and lie in range. Each message starts with name.
+    The one rule for every label input: a non-empty one must be of an integer
+    dtype (floats are not truncated, bools are not classes), 1-D and in range;
+    with n given, any must hold n labels. Each message starts with name.
     """
     labels = np.asarray(labels)
-    if not labels.size:
-        return labels.astype(np.int64, copy=False)
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got {labels.dtype}")
-    if labels.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {labels.shape}")
-    labels = labels.astype(np.int64, copy=False)
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"{name} must lie in [0, {n_classes}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
-    return labels
+    if labels.size:
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers, got {labels.dtype}")
+        if labels.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {labels.shape}")
+        if labels.min() < 0 or labels.max() >= n_classes:
+            raise ValueError(f"{name} must lie in [0, {n_classes}), got range "
+                             f"[{labels.min()}, {labels.max()}]")
+    return _sized(labels.astype(np.int64, copy=False), n, name)
+
+
+def check_mask(mask, n, name: str) -> np.ndarray:
+    """mask as a 1-D bool array of length n (any length when n is None); bool input
+    is not copied. The one rule for every per-sample mask: a non-empty input must be
+    1-D bool, so no integer or float mask is read as truthy; an empty input of any
+    dtype is an empty mask. Each message starts with name."""
+    mask = np.asarray(mask)
+    if mask.size and (mask.dtype != bool or mask.ndim != 1):
+        raise ValueError(f"{name} must be a 1-D bool array, got {mask.dtype} of shape "
+                         f"{mask.shape}")
+    return _sized(mask.astype(bool, copy=False), n, name)
+
+
+def _sized(values: np.ndarray, n, name: str) -> np.ndarray:
+    """values, once they are n entries along one axis (any number when n is None)."""
+    if n is not None and values.shape != (n,):
+        raise ValueError(f"{name} must have length {n}, got shape {values.shape}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -74,9 +91,10 @@ class DataView:
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", check_labels(self.labels, self.n_classes))
-        if self.features.ndim != 2 or len(self.features) != len(self.labels):
-            raise ValueError("features and labels disagree on length")
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be 2-d, got shape {self.features.shape}")
+        object.__setattr__(self, "labels", check_labels(self.labels, self.n_classes,
+                                                        n=len(self.features)))
 
     @property
     def n(self) -> int:
@@ -98,10 +116,8 @@ class NoisyDataset:
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {self.features.shape}")
         for name in ("noisy_labels", "true_labels"):
-            labels = check_labels(getattr(self, name), self.n_classes, name)
-            if len(labels) != len(self.features):
-                raise ValueError("label arrays disagree with feature count")
-            object.__setattr__(self, name, labels)
+            object.__setattr__(self, name, check_labels(getattr(self, name), self.n_classes,
+                                                        name, len(self.features)))
 
     @property
     def n(self) -> int:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import nn, rng
-from .data import DataView, check_labels, check_tau
+from .data import DataView, check_labels, check_mask, check_tau
 from .memorization import PredictionHistory
 
 
@@ -115,14 +115,9 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
     one batch updated the parameters.
     """
     n = view.n
-    labels = check_labels(view.labels if labels is None else labels, state.spec.n_classes)
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    labels = check_labels(view.labels if labels is None else labels, state.spec.n_classes, n=n)
     if member is not None:
-        member = np.asarray(member)
-        if member.shape != (n,) or member.dtype != bool:
-            raise ValueError(f"member must be {n} bools, got {member.dtype} of shape "
-                             f"{member.shape}")
+        member = check_mask(member, n, "member")
     nn._check_features(view.features, state.spec)
     batches = _make_batches(n, config.batch_size, rng.stream(seed, "shuffle", epoch))
     order = np.concatenate(batches)

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .data import check_labels
+from .data import check_labels, check_mask
 
 HISTORY_MAGIC = b"PSTH1"
 MAX_Q = 255  # history entries and lengths are stored as single bytes
@@ -117,10 +117,7 @@ class PredictionHistory:
         if indices is not None:
             indices = self._checked(indices)
             counts, recorded = counts[indices], recorded[indices]
-        noisy_labels = check_labels(noisy_labels, self.n_classes, "noisy_labels")
-        if len(noisy_labels) != len(recorded):
-            raise ValueError(f"noisy_labels must align with {len(recorded)} samples, "
-                             f"got {len(noisy_labels)}")
+        noisy_labels = check_labels(noisy_labels, self.n_classes, "noisy_labels", len(recorded))
         top = np.argmax(counts, axis=1)  # first max = smallest class on ties
         return (recorded > 0) & (top == noisy_labels)
 
@@ -200,10 +197,8 @@ def mp_mr(memorized, noisy_labels, true_labels) -> tuple[float, float]:
     (defined as 1.0 when nothing is memorized). Recall: fraction of
     correctly-labeled samples that are memorized.
     """
-    memorized = np.asarray(memorized, dtype=bool)
-    noisy_labels = np.asarray(noisy_labels)
-    true_labels = np.asarray(true_labels)
-    clean = noisy_labels == true_labels
+    clean = np.asarray(noisy_labels) == np.asarray(true_labels)
+    memorized = check_mask(memorized, len(clean), "memorized")
     hit = int(np.count_nonzero(memorized & clean))
     m_count = int(np.count_nonzero(memorized))
     c_count = int(np.count_nonzero(clean))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_labels
+from .data import check_labels, check_mask
 
 CHECKPOINT_MAGIC = b"PSTP1"
 EVAL_ROWS = 512  # most rows per block of an evaluation pass's hidden layers
@@ -381,10 +381,7 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
             raise ValueError(f"gradient needs a positive denom, got {denom}")
         features = _check_features(features, state.spec)
         if sample_mask is not None:
-            sample_mask = np.asarray(sample_mask)
-            if sample_mask.dtype != bool or sample_mask.shape != (n,):
-                raise ValueError(f"sample_mask must be a bool array of shape ({n},), "
-                                 f"got {sample_mask.dtype} of shape {sample_mask.shape}")
+            sample_mask = check_mask(sample_mask, n, "sample_mask")
         kernel = _TrainKernel(state, n)
     outs, deltas, masks, m, s, rows, row_max = kernel.rows(len(labels))
     acts = _layer_outputs(features, state, outs)

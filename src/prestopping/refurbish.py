@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import nn, rng
-from .data import DataView
+from .data import DataView, check_mask
 from .engine import Observer, run_epochs
 from .memorization import PredictionHistory
 
@@ -28,11 +28,9 @@ class RefurbishConfig:
     trusted_mask: np.ndarray  # (n,) bool
 
     def __post_init__(self):
-        self.trusted_mask = np.asarray(self.trusted_mask, dtype=bool)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.trusted_mask.ndim != 1:
-            raise ValueError("trusted_mask must be one-dimensional")
+        self.trusted_mask = check_mask(self.trusted_mask, None, "trusted_mask")
 
 
 @dataclass
@@ -63,12 +61,10 @@ def refurbish_candidates(histories: PredictionHistory,
                          config: RefurbishConfig) -> RefurbishedSet:
     """Non-trusted samples whose history entropy is at most epsilon."""
     n = histories.n_samples
-    if len(config.trusted_mask) != n:
-        raise ValueError(f"trusted_mask covers {len(config.trusted_mask)} samples, "
-                         f"histories cover {n}")
+    trusted = check_mask(config.trusted_mask, n, "trusted_mask")
     counts = histories.label_counts()
     ent = normalized_entropy(counts, histories.n_classes)
-    mask = ~config.trusted_mask & (ent <= config.epsilon)  # an empty history's nan is never <=
+    mask = ~trusted & (ent <= config.epsilon)  # an empty history's nan is never <=
     labels = np.full(n, -1, dtype=np.int64)
     labels[mask] = np.argmax(counts[mask], axis=1)  # ties: smallest class index
     return RefurbishedSet(labels, ent, mask)

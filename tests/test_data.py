@@ -171,12 +171,13 @@ def test_train_view_cannot_expose_true_labels():
 def test_datasets_reject_features_and_labels_that_disagree():
     x = np.zeros((2, 3))
     for call, message in [
-            (lambda: data.DataView(x, [0, 1, 0], 4), "features and labels disagree on length"),
+            (lambda: data.DataView(x, [0, 1, 0], 4),
+             r"labels must have length 2, got shape \(3,\)"),
             (lambda: data.NoisyDataset(x, [0, 0], [0, 0], 1), "need at least 2 classes, got 1"),
             (lambda: data.NoisyDataset(np.zeros(2), [0, 1], [0, 1], 4),
              r"features must be 2-d, got shape \(2,\)"),
             (lambda: data.NoisyDataset(x, [0, 1, 0], [0, 1, 0], 4),
-             "label arrays disagree with feature count")]:
+             r"noisy_labels must have length 2, got shape \(3,\)")]:
         with pytest.raises(ValueError, match=message):
             call()
 

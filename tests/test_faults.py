@@ -1,0 +1,146 @@
+"""Seeded fault matrix for a run's processes.
+
+One fixed random.Random draws the cells. A cell picks the process that fails
+(a seed process of a two-seed --jobs 2 run, its scorer, its Phase II child
+before the handover, or that child while it scores the retrain's inbox), the
+way it fails (it raises, calls os._exit(3) or sends itself SIGKILL), the
+inbox message at which it fails, the method and the seed. The fault is
+injected through test-side wrappers of processes._run_seed,
+engine.phase2_train and processes._scored's epoch iterator, which the forked
+processes inherit. Each cell reruns, into a copy of a clean run's output,
+and checks that the run fails with exit code 1 naming the seed and the
+process (or the raised text), that the failed seed keeps its earlier run
+directory, that the other seed writes the clean run's bytes, and that
+<out>/summary.json lists the failure; the autouse no_leaked_children fixture
+checks that no child, pipe end or spool is left behind.
+"""
+
+import hashlib
+import os
+import random
+import re
+import shutil
+import signal
+from pathlib import Path
+
+import pytest
+
+from prestopping import cli, engine, metrics, processes
+
+EPOCHS = 5
+FLAGS = dict(n_classes=3, per_class=50, dim=4, spread=0.4, validation_size=30,
+             test_size=30, hidden="8", epochs=EPOCHS, batch_size=32, noise="pair",
+             tau=0.3, seeds="0,1", jobs=2)
+# what fails: each process with the name its failures carry, and the methods it runs in
+PROCESSES = {"seed": ("seed process", ("default", "prestopping_plus")),
+             "scorer": ("scorer process", ("default", "prestopping_plus")),
+             "phase2 before handover": ("Phase II process", ("prestopping_plus",)),
+             "phase2 retrain inbox": ("Phase II process", ("prestopping_plus",))}
+MODES = ("raise", "exit", "kill")
+WALL_SECONDS = re.compile(rb'("wall_seconds": )[^,\n}]*')
+
+
+def draw_cells(rand, extra):
+    """Each process in each mode once, then extra cells drawn whole; each cell is
+    (process, mode, inbox message k, method, failing seed)."""
+    pairs = [(p, m) for p in PROCESSES for m in MODES]
+    pairs += [(rand.choice(list(PROCESSES)), rand.choice(MODES)) for _ in range(extra)]
+    return [(p, m, rand.randint(1, EPOCHS), rand.choice(PROCESSES[p][1]), rand.randrange(2))
+            for p, m in pairs]
+
+
+CELLS = draw_cells(random.Random(8), 4)
+
+
+def fail(mode, where):
+    if mode == "raise":
+        raise RuntimeError(f"injected fault in {where}")
+    if mode == "exit":
+        os._exit(3)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def inject(monkeypatch, cell):
+    """Patch the fault of cell in; forked processes inherit the patches."""
+    process, mode, k, _, failing = cell
+    where = f"the {process} of seed {failing}"
+    seed = []  # the seed this seed process runs, set once it is forked
+    run_seed, phase2_train, scored = processes._run_seed, engine.phase2_train, processes._scored
+
+    def seed_process(hand_over, inbox, fn, this, args):
+        seed.append(this)
+        if process == "seed" and this == failing:
+            fail(mode, where)
+        return run_seed(hand_over, inbox, fn, this, args)
+
+    def phase2_child(*args, **kwargs):
+        if process == "phase2 before handover" and seed == [failing]:
+            fail(mode, where)
+        return phase2_train(*args, **kwargs)
+
+    def scoring(collector, net_spec, epochs):
+        # the scorer scores phase1 epochs only, the Phase II child phase2 and plus
+        phase = {"scorer": "phase1", "phase2 retrain inbox": "plus"}.get(process)
+
+        def counted():
+            n = 0
+            for epoch in epochs:
+                n += epoch[0] == phase
+                if n == k and seed == [failing]:
+                    fail(mode, where)
+                yield epoch
+        return scored(collector, net_spec, counted())
+
+    monkeypatch.setattr(processes, "_run_seed", seed_process)
+    monkeypatch.setattr(engine, "phase2_train", phase2_child)
+    monkeypatch.setattr(processes, "_scored", scoring)
+
+
+def digests(root: Path) -> dict:
+    """{relative path: sha256} of the files below root, wall_seconds masked."""
+    def masked(path):
+        raw = path.read_bytes()
+        return WALL_SECONDS.sub(rb"\1null", raw) if path.name == "summary.json" else raw
+    return {p.relative_to(root).as_posix(): hashlib.sha256(masked(p)).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def argv(out, method):
+    flags = {**FLAGS, "method": method, "out": str(out)}
+    return ["run"] + [arg for key, value in flags.items() for arg in (f"--{key}", str(value))]
+
+
+@pytest.fixture(scope="module")
+def clean_runs(tmp_path_factory):
+    """{method: the output directory of a clean two-seed run}."""
+    runs = {}
+    for method in ("default", "prestopping_plus"):
+        runs[method] = tmp_path_factory.mktemp(method) / "out"
+        assert cli.main(argv(runs[method], method)) == 0
+    return runs
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=["-".join(map(str, c)).replace(" ", "_")
+                                             for c in CELLS])
+def test_a_failing_process_fails_its_seed_alone(cell, clean_runs, tmp_path, monkeypatch,
+                                                capsys):
+    process, mode, _, method, failing = cell
+    out = tmp_path / "out"
+    shutil.copytree(clean_runs[method], out)
+    seed_dirs = [out / method / "pair_0.3" / f"seed{s}" for s in (0, 1)]
+    before = [digests(d) for d in seed_dirs]
+    inject(monkeypatch, cell)
+    capsys.readouterr()
+    assert cli.main(argv(out, method)) == 1
+    name = PROCESSES[process][0]
+    error = {"raise": f"RuntimeError: injected fault in the {process} of seed {failing}",
+             "exit": f"RuntimeError: seed {failing}: {name} exited with code 3 without a result",
+             "kill": f"RuntimeError: seed {failing}: {name} exited with code -9 without a "
+                     f"result"}[mode]
+    assert f"seed {failing} failed: {error}\n" in capsys.readouterr().err
+    summary = metrics.read_summary_json(out / "summary.json")
+    assert summary["failures"] == [{"seed": failing, "error": error,
+                                    "run_dir": f"{method}/pair_0.3/seed{failing}"}]
+    assert [run["seed"] for run in summary["runs"]] == [1 - failing]
+    assert [digests(d) for d in seed_dirs] == before  # the other seed's: the clean bytes
+    assert sorted(p.name for p in seed_dirs[0].parent.iterdir()) == ["seed0", "seed1"]

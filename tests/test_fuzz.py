@@ -1,12 +1,16 @@
-"""Seeded fuzz of every input read from text or from a file.
+"""Seeded fuzz of every input read from text or from a file, and of every
+per-sample label and mask argument.
 
 Each mutated input is either rejected with a ValueError (a ConfigError for a
 config value or line) naming its key, file or line, or read as an independent
 reference reads it: regular expressions for the ASCII number grammar and the
 config file's line grammar the README documents, and a byte-for-byte re-save
-for the binary checkpoint files.
-One fixed random.Random drives every mutation, nothing trains, and the whole
-module runs in about a second.
+for the binary checkpoint files. A label or mask argument of a drawn dtype and
+shape is rejected with a ValueError naming the argument exactly when the
+documented rule rejects it, and is otherwise read as its bool or int64 copy.
+Each family draws from one fixed random.Random, only the label and mask
+family trains (single epochs of a few samples), and each family runs in
+about a second.
 """
 
 import json
@@ -17,7 +21,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from helpers import write_csv
-from prestopping import cli, data, memorization, metrics, nn, rng
+from prestopping import cli, data, engine, memorization, metrics, nn, refurbish, rng
 
 # what an edit inserts: the characters of the ASCII grammar and its separators,
 # and what Python's int and float would read as well: '_' between digits,
@@ -332,3 +336,96 @@ def test_every_summary_number_is_rejected_by_path_or_read_as_the_reference_reads
             got = metrics.read_summary_json(tmp_path / "summary.json")["runs"][0][field]
             assert want is not None and got == want and type(got) is type(want), (field, text)
     assert accepted > 20
+
+
+# ----- per-sample label and mask arguments -----
+
+DTYPES = (np.bool_, np.int64, np.uint8, np.float64)
+
+
+def rule_accepts(kind, dtype, shape, length) -> bool:
+    """The README's rules: a non-empty label vector has an integer dtype and one
+    axis, a non-empty mask is bool with one axis, and with a length given either
+    holds exactly that many entries, so an empty one passes only for length 0."""
+    allowed = (np.bool_,) if kind == "mask" else (np.int64, np.uint8)
+    if 0 not in shape and (dtype not in allowed or len(shape) != 1):
+        return False
+    return length is None or shape == (length,)
+
+
+def per_sample_arguments(n):
+    """(name, kind, length, call) of each per-sample label or mask argument:
+    call(value) runs its function on n samples with value as that argument and
+    returns what the function gives back; length is None where any length passes."""
+    k = 3
+    x = rng.stream(n, "fuzz x").normal(size=(n, 4))
+    y = np.arange(n) % k
+    true = np.roll(y, 1)
+    view = data.DataView(x, y, k)
+    spec = nn.NetworkSpec((4, 5, k))
+    config = nn.OptimizerConfig(batch_size=2, total_epochs=1)
+    hist = memorization.PredictionHistory(n, 2, k)
+    hist.record_batch(np.arange(n), y)
+    hist.record_batch(np.arange(n // 2), true[:n // 2])  # half the histories stay pure
+
+    def epoch(labels=None, member=None):
+        state = nn.init_state(spec, rng.stream(0, "init"))
+        fresh = memorization.PredictionHistory(n, 2, k)
+        updated = engine.train_epoch(view, state, fresh, config, 1, 0, labels, member)
+        return updated, state.params, fresh.label_counts()
+
+    def candidates(trusted):
+        rcfg = refurbish.RefurbishConfig(0.5, np.zeros(n, dtype=bool))
+        rcfg.trusted_mask = trusted  # past the check the config makes when it is built
+        out = refurbish.refurbish_candidates(hist, rcfg)
+        return out.labels, out.entropy, out.mask
+
+    state = nn.init_state(spec, rng.stream(1, "init"))
+    return [
+        ("labels", "labels", n, lambda v: epoch(labels=v)),
+        ("member", "mask", n, lambda v: epoch(member=v)),
+        ("sample_mask", "mask", n,
+         lambda v: nn.loss_grad_probs(x, y, state, sample_mask=v, denom=2)),
+        ("noisy_labels", "labels", n, hist.memorized_mask),
+        ("memorized", "mask", n, lambda v: memorization.mp_mr(v, y, true)),
+        ("trusted_mask", "mask", None,
+         lambda v: refurbish.RefurbishConfig(0.5, v).trusted_mask),
+        ("trusted_mask", "mask", n, candidates),
+        ("labels", "labels", n, lambda v: data.DataView(x, v, k).labels),
+        ("noisy_labels", "labels", n, lambda v: data.NoisyDataset(x, v, y, k).noisy_labels),
+        ("true_labels", "labels", n, lambda v: data.NoisyDataset(x, y, v, k).true_labels),
+    ]
+
+
+def same(a, b) -> bool:
+    """a and b hold equal values of equal dtypes, nan matching nan."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same, a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
+def test_every_label_and_mask_argument_is_rejected_by_name_or_read_as_its_canonical_copy():
+    rand = random.Random(6)
+    wrong = []
+    for _ in range(40):
+        n = rand.randint(2, 9)
+        for index, (name, kind, length, call) in enumerate(per_sample_arguments(n)):
+            for dtype in DTYPES:
+                for shape in ((n,), (n - 1,), (n + 1,), (n, 1), (0,)):
+                    values = np.array([rand.randrange(2 if kind == "mask" else 3)
+                                       for _ in range(int(np.prod(shape)))]).reshape(shape)
+                    canonical = values.astype(bool if kind == "mask" else np.int64)
+                    cell = (index, name, dtype.__name__, shape)
+                    try:
+                        got = call(values.astype(dtype))
+                    except Exception as exc:  # anything but the rule's ValueError is wrong
+                        if rule_accepts(kind, dtype, shape, length) or not (
+                                isinstance(exc, ValueError) and str(exc).startswith(f"{name} ")):
+                            wrong.append((*cell, f"{type(exc).__name__}: {exc}"))
+                        continue
+                    if not rule_accepts(kind, dtype, shape, length):
+                        wrong.append((*cell, "accepted"))
+                    elif not same(got, call(canonical)):
+                        wrong.append((*cell, "read otherwise than its canonical copy"))
+    assert wrong == []

@@ -128,7 +128,7 @@ def test_memorized_mask_matches_per_sample_calls():
     mask = h.memorized_mask(noisy)
     for i in range(50):
         assert mask[i] == h.is_memorized(i, noisy[i])
-    with pytest.raises(ValueError, match="noisy_labels must align with 50 samples, got 49"):
+    with pytest.raises(ValueError, match=r"noisy_labels must have length 50, got shape \(49,\)"):
         h.memorized_mask(noisy[1:])
 
 

@@ -276,7 +276,8 @@ def test_masked_gradient_zero_mask_rows_do_not_leak():
     _, grad2, _, _ = nn.loss_grad_probs(x[mask], y[mask], state)
     assert np.allclose(grad, grad2, atol=1e-14)
     # an integer mask of 2s would double the gradient but not the loss
-    with pytest.raises(ValueError, match="sample_mask must be a bool array"):
+    with pytest.raises(ValueError,
+                       match=r"sample_mask must be a 1-D bool array, got int64 of shape \(6,\)"):
         nn.loss_grad_probs(x, y, state, sample_mask=2 * mask.astype(int), denom=3)
 
 

@@ -100,9 +100,10 @@ def test_candidate_invariants_random():
 
 def test_candidates_reject_length_mismatch():
     h = mem.PredictionHistory(3, 2, 3)
-    with pytest.raises(ValueError, match="trusted_mask covers 2 samples, histories cover 3"):
+    with pytest.raises(ValueError, match=r"trusted_mask must have length 3, got shape \(2,\)"):
         refurbish.refurbish_candidates(h, refurbish.RefurbishConfig(0.1, np.zeros(2, bool)))
-    with pytest.raises(ValueError, match="trusted_mask must be one-dimensional"):
+    with pytest.raises(ValueError,
+                       match=r"trusted_mask must be a 1-D bool array, got bool of shape \(3, 1\)"):
         refurbish.RefurbishConfig(0.1, np.zeros((3, 1), bool))
 
 
