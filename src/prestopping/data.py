@@ -82,6 +82,17 @@ def _sized(values: np.ndarray, n, name: str) -> np.ndarray:
     return values
 
 
+def check_features(features, width=None, name: str = "features") -> np.ndarray:
+    """features as a 2-D float64 array, of width columns unless width is None;
+    float64 input is not copied. The one rule for every feature matrix; its
+    message starts with name."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or width is not None and features.shape[1] != width:
+        columns = "" if width is None else f" of {width} columns"
+        raise ValueError(f"{name} must be a 2-D array{columns}, got shape {features.shape}")
+    return features
+
+
 @dataclass(frozen=True)
 class DataView:
     """What training is allowed to see: features and one label per sample."""
@@ -90,9 +101,7 @@ class DataView:
     n_classes: int
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-d, got shape {self.features.shape}")
+        object.__setattr__(self, "features", check_features(self.features))
         object.__setattr__(self, "labels", check_labels(self.labels, self.n_classes,
                                                         n=len(self.features)))
 
@@ -112,9 +121,7 @@ class NoisyDataset:
     def __post_init__(self):
         if self.n_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-d, got shape {self.features.shape}")
+        object.__setattr__(self, "features", check_features(self.features))
         for name in ("noisy_labels", "true_labels"):
             object.__setattr__(self, name, check_labels(getattr(self, name), self.n_classes,
                                                         name, len(self.features)))

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import nn, rng
-from .data import DataView, check_labels, check_mask, check_tau
+from .data import DataView, check_features, check_labels, check_mask, check_tau
 from .memorization import PredictionHistory
 
 
@@ -115,10 +115,10 @@ def train_epoch(view: DataView, state, histories, config, epoch: int, seed: int,
     one batch updated the parameters.
     """
     n = view.n
+    check_features(view.features, state.spec.layer_sizes[0])
     labels = check_labels(view.labels if labels is None else labels, state.spec.n_classes, n=n)
     if member is not None:
         member = check_mask(member, n, "member")
-    nn._check_features(view.features, state.spec)
     batches = _make_batches(n, config.batch_size, rng.stream(seed, "shuffle", epoch))
     order = np.concatenate(batches)
     # gathered onto nn.ALIGN-byte boundaries; order is a permutation, so no index is

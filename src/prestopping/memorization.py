@@ -197,7 +197,9 @@ def mp_mr(memorized, noisy_labels, true_labels) -> tuple[float, float]:
     (defined as 1.0 when nothing is memorized). Recall: fraction of
     correctly-labeled samples that are memorized.
     """
-    clean = np.asarray(noisy_labels) == np.asarray(true_labels)
+    most = np.iinfo(np.int64).max  # no class count here
+    noisy_labels = check_labels(noisy_labels, most, "noisy_labels")
+    clean = noisy_labels == check_labels(true_labels, most, "true_labels", len(noisy_labels))
     memorized = check_mask(memorized, len(clean), "memorized")
     hit = int(np.count_nonzero(memorized & clean))
     m_count = int(np.count_nonzero(memorized))

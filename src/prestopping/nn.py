@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_labels, check_mask
+from .data import check_features, check_labels, check_mask
 
 CHECKPOINT_MAGIC = b"PSTP1"
 EVAL_ROWS = 512  # most rows per block of an evaluation pass's hidden layers
@@ -44,10 +44,6 @@ class NetworkSpec:
             raise ValueError("layer_sizes needs at least input and output widths")
         if any(s <= 0 for s in sizes):
             raise ValueError(f"layer_sizes must all be positive, got {sizes}")
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
 
     @property
     def n_classes(self) -> int:
@@ -94,14 +90,12 @@ class Batch:
     labels: np.ndarray    # (b,) int
 
     def __post_init__(self):
+        self.features = check_features(self.features)
+        b = len(self.features)
+        self.labels = check_labels(self.labels, np.iinfo(np.int64).max, n=b)  # no class count
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = check_labels(self.labels, np.iinfo(np.int64).max)  # no class count here
-        b = len(self.indices)
-        if self.features.ndim != 2 or self.features.shape[0] != b or len(self.labels) != b:
-            raise ValueError("batch arrays disagree on length")
-        if len(np.unique(self.indices)) != b:
-            raise ValueError("batch indices must be distinct")
+        if self.indices.shape != (b,) or len(np.unique(self.indices)) != b:
+            raise ValueError(f"indices must be {b} distinct sample indices")
 
 
 def aligned_empty(shape, dtype=np.float64) -> np.ndarray:
@@ -193,13 +187,6 @@ def init_state(spec: NetworkSpec, rng: np.random.Generator) -> NetworkState:
 
 # ----- forward / loss / gradient -----
 
-def _check_features(features: np.ndarray, spec: NetworkSpec) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"features must have shape (n, {spec.input_dim}), got {x.shape}")
-    return x
-
-
 def _layer_outputs(x, state: NetworkState, outs) -> list:
     """Post-activations [x, outs[0], ...] of the first len(outs) layers, layer l into
     outs[l], or into a fresh array where outs[l] is None.
@@ -240,7 +227,7 @@ def _logits(features, state: NetworkState) -> np.ndarray:
     O(EVAL_ROWS * widest + n * (last hidden width + classes)), held only
     during the call.
     """
-    x = _check_features(features, state.spec)
+    x = check_features(features, state.spec.layer_sizes[0])
     last = state.n_layers - 1
     hidden = x
     if last:
@@ -371,15 +358,15 @@ def loss_grad_probs(features, labels, state: NetworkState, sample_mask=None, den
     """
     reference = kernel is None
     if reference:
-        labels = check_labels(labels, state.spec.n_classes)
-        n = len(labels)
+        features = check_features(features, state.spec.layer_sizes[0])
+        n = len(features)
+        labels = check_labels(labels, state.spec.n_classes, n=n)
         if n == 0:
             raise ValueError("cannot take a gradient over an empty batch")
         if denom is None and sample_mask is None:
             denom = n
         if denom is None or denom <= 0:
             raise ValueError(f"gradient needs a positive denom, got {denom}")
-        features = _check_features(features, state.spec)
         if sample_mask is not None:
             sample_mask = check_mask(sample_mask, n, "sample_mask")
         kernel = _TrainKernel(state, n)
@@ -423,7 +410,8 @@ def sgd_step(state: NetworkState, grad, config: OptimizerConfig, epoch: int,
 
 def per_sample_losses(features, labels, state: NetworkState) -> np.ndarray:
     """Cross-entropy of each sample against the given labels; no gradients."""
-    labels = check_labels(labels, state.spec.n_classes)
+    features = check_features(features, state.spec.layer_sizes[0])
+    labels = check_labels(labels, state.spec.n_classes, n=len(features))
     return _softmax_ce(_logits(features, state), labels)
 
 
@@ -434,7 +422,8 @@ def predict_labels(features, state: NetworkState) -> np.ndarray:
 
 def evaluate_error(features, labels, state: NetworkState) -> float:
     """0-1 error of argmax predictions against the given labels."""
-    labels = check_labels(labels, state.spec.n_classes)
+    features = check_features(features, state.spec.layer_sizes[0])
+    labels = check_labels(labels, state.spec.n_classes, n=len(features))
     if len(labels) == 0:
         raise ValueError("cannot evaluate on an empty set")
     return float(np.mean(predict_labels(features, state) != labels))

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import nn, rng
-from .data import DataView, check_mask
+from .data import DataView, check_labels, check_mask
 from .engine import Observer, run_epochs
 from .memorization import PredictionHistory
 
@@ -76,6 +76,9 @@ def epoch_targets(refurb: RefurbishedSet, trusted_mask, noisy_labels):
     Refurbished samples train on their refurbished label, trusted ones on
     their training label; every other sample is excluded from the gradient.
     """
+    n = len(refurb.mask)
+    trusted_mask = check_mask(trusted_mask, n, "trusted_mask")
+    noisy_labels = check_labels(noisy_labels, np.iinfo(np.int64).max, "noisy_labels", n)
     if np.any(refurb.mask & trusted_mask):
         raise ValueError("refurbished set overlaps the trusted set")
     return np.where(refurb.mask, refurb.labels, noisy_labels), trusted_mask | refurb.mask

@@ -1,11 +1,13 @@
 """Dataset synthesis, label-noise injection, splitting, CSV round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from helpers import write_csv
-from prestopping import data, engine, memorization, nn, rng
+from prestopping import data, engine, memorization, nn, refurbish, rng
 
 
 def make_ds(n=40, d=3, k=4, seed=0):
@@ -175,7 +177,7 @@ def test_datasets_reject_features_and_labels_that_disagree():
              r"labels must have length 2, got shape \(3,\)"),
             (lambda: data.NoisyDataset(x, [0, 0], [0, 0], 1), "need at least 2 classes, got 1"),
             (lambda: data.NoisyDataset(np.zeros(2), [0, 1], [0, 1], 4),
-             r"features must be 2-d, got shape \(2,\)"),
+             r"^features must be a 2-D array, got shape \(2,\)$"),
             (lambda: data.NoisyDataset(x, [0, 1, 0], [0, 1, 0], 4),
              r"noisy_labels must have length 2, got shape \(3,\)")]:
         with pytest.raises(ValueError, match=message):
@@ -402,3 +404,42 @@ def test_label_rule_keeps_int64_and_converts_other_integers():
     small = data.check_labels(labels.astype(np.uint8), 4)
     assert small.dtype == np.int64 and np.array_equal(small, labels)
     assert data.check_labels([], 4).dtype == np.int64
+
+
+def test_feature_rule_keeps_float64_and_names_the_width():
+    x = np.zeros((3, 4))
+    assert data.check_features(x) is x and data.check_features(x, 4) is x
+    ints = data.check_features([[1, 2]])
+    assert ints.dtype == np.float64 and np.array_equal(ints, [[1.0, 2.0]])
+    for value, width, message in [
+            (np.zeros(4), None, "features must be a 2-D array, got shape (4,)"),
+            (x, 5, "features must be a 2-D array of 5 columns, got shape (3, 4)"),
+            (np.zeros((3, 4, 1)), 4,
+             "features must be a 2-D array of 4 columns, got shape (3, 4, 1)")]:
+        with pytest.raises(ValueError) as exc:
+            data.check_features(value, width)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nn.evaluate_error(X2, [0], small_state()), "labels must have length 2"),
+    (lambda: nn.per_sample_losses(X2, [0], small_state()), "labels must have length 2"),
+    (lambda: nn.loss_grad_probs(X2, [0, 1, 0], small_state()), "labels must have length 2"),
+    (lambda: nn.forward(np.zeros((2, 4)), small_state()),
+     "features must be a 2-D array of 3 columns"),
+    (lambda: memorization.mp_mr([True, True, False], [0, 1, 2], [1]),
+     "true_labels must have length 3"),
+    (lambda: memorization.mp_mr([True, False], [0.0, 1.0], [0, 1]),
+     "noisy_labels must be integers"),
+    (lambda: refurbish.epoch_targets(refurbish.RefurbishedSet(
+        np.full(3, -1), np.full(3, np.nan), np.zeros(3, dtype=bool)), np.array([1, 0, 2]),
+        np.array([0, 1, 2])), "trusted_mask must be a 1-D bool array"),
+    (lambda: refurbish.epoch_targets(refurbish.RefurbishedSet(
+        np.full(3, -1), np.full(3, np.nan), np.zeros(3, dtype=bool)), np.zeros(3, bool),
+        np.array([0, 1])), "noisy_labels must have length 3"),
+], ids=["evaluate_error", "per_sample_losses", "loss_grad_probs", "forward", "mp_mr-length",
+        "mp_mr-floats", "epoch_targets-mask", "epoch_targets-labels"])
+def test_per_sample_inputs_are_tied_to_one_length_by_name(call, message):
+    # one label is never broadcast over every row, and no NumPy error stands in
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()

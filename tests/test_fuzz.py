@@ -1,16 +1,16 @@
-"""Seeded fuzz of every input read from text or from a file, and of every
-per-sample label and mask argument.
+"""Seeded fuzz of every input read from text or from a file, of every
+per-sample label and mask argument, and of every feature matrix.
 
 Each mutated input is either rejected with a ValueError (a ConfigError for a
 config value or line) naming its key, file or line, or read as an independent
 reference reads it: regular expressions for the ASCII number grammar and the
 config file's line grammar the README documents, and a byte-for-byte re-save
-for the binary checkpoint files. A label or mask argument of a drawn dtype and
-shape is rejected with a ValueError naming the argument exactly when the
-documented rule rejects it, and is otherwise read as its bool or int64 copy.
-Each family draws from one fixed random.Random, only the label and mask
-family trains (single epochs of a few samples), and each family runs in
-about a second.
+for the binary checkpoint files. A label or mask argument or a feature matrix
+of a drawn dtype and shape is rejected with a ValueError naming the argument
+exactly when the documented rule rejects it, and is otherwise read as its
+bool, int64 or float64 copy. Each family draws from one fixed random.Random,
+only the label, mask and feature families train (single epochs of a few
+samples), and each family runs in about a second.
 """
 
 import json
@@ -338,47 +338,69 @@ def test_every_summary_number_is_rejected_by_path_or_read_as_the_reference_reads
     assert accepted > 20
 
 
-# ----- per-sample label and mask arguments -----
+# ----- per-sample label and mask arguments, and feature matrices -----
 
-DTYPES = (np.bool_, np.int64, np.uint8, np.float64)
+WIDTH = 4  # the input width of the fuzzed network
+VECTOR = ((np.bool_, np.int64, np.uint8, np.float64),
+          lambda n: ((n,), (n - 1,), (n + 1,), (n, 1), (0,)))
+# per kind of argument: the dtypes it is drawn with, and its shapes for n samples
+DRAWS = {"labels": VECTOR, "mask": VECTOR,
+         "features": ((np.float64, np.float32, np.int64, np.bool_),
+                      lambda n: ((n, WIDTH), (n, WIDTH - 1), (n, WIDTH + 1), (n,),
+                                 (n, WIDTH, 1)))}
 
 
-def rule_accepts(kind, dtype, shape, length) -> bool:
+def rule_accepts(kind, dtype, shape, size) -> bool:
     """The README's rules: a non-empty label vector has an integer dtype and one
     axis, a non-empty mask is bool with one axis, and with a length given either
-    holds exactly that many entries, so an empty one passes only for length 0."""
+    holds exactly that many entries, so an empty one passes only for length 0. A
+    feature matrix of any of these dtypes has two axes, and size columns where
+    size, the network's input width, is given."""
+    if kind == "features":
+        return len(shape) == 2 and size in (None, shape[1])
     allowed = (np.bool_,) if kind == "mask" else (np.int64, np.uint8)
     if 0 not in shape and (dtype not in allowed or len(shape) != 1):
         return False
-    return length is None or shape == (length,)
+    return size is None or shape == (size,)
 
 
 def per_sample_arguments(n):
-    """(name, kind, length, call) of each per-sample label or mask argument:
-    call(value) runs its function on n samples with value as that argument and
-    returns what the function gives back; length is None where any length passes."""
+    """(name, kind, size, call) of each per-sample label or mask argument and each
+    feature matrix: call(value) runs its function on n samples with value as that
+    argument and returns what the function gives back. size is a label or mask
+    argument's length, or a feature matrix's width, and None where any passes.
+    Where the argument fixes the number of samples (a feature matrix, mp_mr's
+    noisy_labels), call builds the other arguments to the length of value."""
     k = 3
-    x = rng.stream(n, "fuzz x").normal(size=(n, 4))
+    x = rng.stream(n, "fuzz x").normal(size=(n, WIDTH))
     y = np.arange(n) % k
     true = np.roll(y, 1)
+    memorized = y != 1
     view = data.DataView(x, y, k)
-    spec = nn.NetworkSpec((4, 5, k))
+    spec = nn.NetworkSpec((WIDTH, 5, k))
     config = nn.OptimizerConfig(batch_size=2, total_epochs=1)
     hist = memorization.PredictionHistory(n, 2, k)
     hist.record_batch(np.arange(n), y)
     hist.record_batch(np.arange(n // 2), true[:n // 2])  # half the histories stay pure
+    none = np.zeros(n, dtype=bool)
+    unrefurbished = refurbish.RefurbishedSet(np.full(n, -1), np.full(n, np.nan), none)
+    refurbished = refurbish.refurbish_candidates(hist, refurbish.RefurbishConfig(0.5, none))
 
-    def epoch(labels=None, member=None):
+    def epoch(labels=None, member=None, view=view):
         state = nn.init_state(spec, rng.stream(0, "init"))
-        fresh = memorization.PredictionHistory(n, 2, k)
+        fresh = memorization.PredictionHistory(view.n, 2, k)
         updated = engine.train_epoch(view, state, fresh, config, 1, 0, labels, member)
         return updated, state.params, fresh.label_counts()
 
     def candidates(trusted):
-        rcfg = refurbish.RefurbishConfig(0.5, np.zeros(n, dtype=bool))
+        rcfg = refurbish.RefurbishConfig(0.5, none)
         rcfg.trusted_mask = trusted  # past the check the config makes when it is built
         out = refurbish.refurbish_candidates(hist, rcfg)
         return out.labels, out.entropy, out.mask
+
+    def rows(v):
+        """Labels for each row of the feature matrix v."""
+        return np.arange(len(v)) % k
 
     state = nn.init_state(spec, rng.stream(1, "init"))
     return [
@@ -386,14 +408,34 @@ def per_sample_arguments(n):
         ("member", "mask", n, lambda v: epoch(member=v)),
         ("sample_mask", "mask", n,
          lambda v: nn.loss_grad_probs(x, y, state, sample_mask=v, denom=2)),
+        ("labels", "labels", n, lambda v: nn.loss_grad_probs(x, v, state)),
+        ("labels", "labels", n, lambda v: nn.evaluate_error(x, v, state)),
+        ("labels", "labels", n, lambda v: nn.per_sample_losses(x, v, state)),
         ("noisy_labels", "labels", n, hist.memorized_mask),
         ("memorized", "mask", n, lambda v: memorization.mp_mr(v, y, true)),
+        ("noisy_labels", "labels", None,
+         lambda v: memorization.mp_mr(np.arange(len(v)) % 2 == 0, v, np.arange(len(v)) % k)),
+        ("true_labels", "labels", n, lambda v: memorization.mp_mr(memorized, y, v)),
         ("trusted_mask", "mask", None,
          lambda v: refurbish.RefurbishConfig(0.5, v).trusted_mask),
         ("trusted_mask", "mask", n, candidates),
+        ("trusted_mask", "mask", n, lambda v: refurbish.epoch_targets(unrefurbished, v, y)),
+        ("noisy_labels", "labels", n, lambda v: refurbish.epoch_targets(refurbished, none, v)),
         ("labels", "labels", n, lambda v: data.DataView(x, v, k).labels),
         ("noisy_labels", "labels", n, lambda v: data.NoisyDataset(x, v, y, k).noisy_labels),
         ("true_labels", "labels", n, lambda v: data.NoisyDataset(x, y, v, k).true_labels),
+        ("features", "features", None, lambda v: data.DataView(v, rows(v), k).features),
+        ("features", "features", None,
+         lambda v: data.NoisyDataset(v, rows(v), rows(v), k).features),
+        ("features", "features", None,
+         lambda v: nn.Batch(np.arange(len(v)), v, rows(v)).features),
+        ("features", "features", WIDTH, lambda v: nn.forward(v, state)),
+        ("features", "features", WIDTH, lambda v: nn.predict_labels(v, state)),
+        ("features", "features", WIDTH, lambda v: nn.evaluate_error(v, rows(v), state)),
+        ("features", "features", WIDTH, lambda v: nn.per_sample_losses(v, rows(v), state)),
+        ("features", "features", WIDTH, lambda v: nn.loss_grad_probs(v, rows(v), state)),
+        ("features", "features", WIDTH,
+         lambda v: epoch(view=data.DataView(v, rows(v), k))),
     ]
 
 
@@ -405,27 +447,49 @@ def same(a, b) -> bool:
     return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
 
 
-def test_every_label_and_mask_argument_is_rejected_by_name_or_read_as_its_canonical_copy():
-    rand = random.Random(6)
+def misread(kinds, seed) -> list:
+    """The cells of each per-sample argument of the given kinds, drawn from one
+    random.Random(seed), that raise other than a ValueError starting with the
+    argument's name exactly when its rule rejects the input, or that return
+    other than what the input's canonical copy (bool, int64 or float64) returns."""
+    rand = random.Random(seed)
     wrong = []
     for _ in range(40):
         n = rand.randint(2, 9)
-        for index, (name, kind, length, call) in enumerate(per_sample_arguments(n)):
-            for dtype in DTYPES:
-                for shape in ((n,), (n - 1,), (n + 1,), (n, 1), (0,)):
-                    values = np.array([rand.randrange(2 if kind == "mask" else 3)
-                                       for _ in range(int(np.prod(shape)))]).reshape(shape)
-                    canonical = values.astype(bool if kind == "mask" else np.int64)
+        for index, (name, kind, size, call) in enumerate(per_sample_arguments(n)):
+            if kind not in kinds:
+                continue
+            dtypes, shapes = DRAWS[kind]
+            for dtype in dtypes:
+                for shape in shapes(n):
+                    count = int(np.prod(shape))
+                    if kind == "features":
+                        given = np.array([rand.uniform(-2, 2) for _ in range(count)])
+                        given = given.reshape(shape).astype(dtype)
+                        canonical = given.astype(np.float64)
+                    else:
+                        values = np.array([rand.randrange(2 if kind == "mask" else 3)
+                                           for _ in range(count)]).reshape(shape)
+                        given = values.astype(dtype)
+                        canonical = values.astype(bool if kind == "mask" else np.int64)
                     cell = (index, name, dtype.__name__, shape)
                     try:
-                        got = call(values.astype(dtype))
+                        got = call(given)
                     except Exception as exc:  # anything but the rule's ValueError is wrong
-                        if rule_accepts(kind, dtype, shape, length) or not (
+                        if rule_accepts(kind, dtype, shape, size) or not (
                                 isinstance(exc, ValueError) and str(exc).startswith(f"{name} ")):
                             wrong.append((*cell, f"{type(exc).__name__}: {exc}"))
                         continue
-                    if not rule_accepts(kind, dtype, shape, length):
+                    if not rule_accepts(kind, dtype, shape, size):
                         wrong.append((*cell, "accepted"))
                     elif not same(got, call(canonical)):
                         wrong.append((*cell, "read otherwise than its canonical copy"))
-    assert wrong == []
+    return wrong
+
+
+def test_every_label_and_mask_argument_is_rejected_by_name_or_read_as_its_canonical_copy():
+    assert misread({"labels", "mask"}, 6) == []
+
+
+def test_every_feature_matrix_is_rejected_by_name_or_read_as_its_float64_copy():
+    assert misread({"features"}, 7) == []
