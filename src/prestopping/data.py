@@ -82,14 +82,13 @@ def _sized(values: np.ndarray, n, name: str) -> np.ndarray:
     return values
 
 
-def check_features(features, width=None, name: str = "features") -> np.ndarray:
+def check_features(features, width=None) -> np.ndarray:
     """features as a 2-D float64 array, of width columns unless width is None;
-    float64 input is not copied. The one rule for every feature matrix; its
-    message starts with name."""
+    float64 input is not copied. The one rule for every feature matrix."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or width is not None and features.shape[1] != width:
         columns = "" if width is None else f" of {width} columns"
-        raise ValueError(f"{name} must be a 2-D array{columns}, got shape {features.shape}")
+        raise ValueError(f"features must be a 2-D array{columns}, got shape {features.shape}")
     return features
 
 

@@ -410,9 +410,8 @@ def sgd_step(state: NetworkState, grad, config: OptimizerConfig, epoch: int,
 
 def per_sample_losses(features, labels, state: NetworkState) -> np.ndarray:
     """Cross-entropy of each sample against the given labels; no gradients."""
-    features = check_features(features, state.spec.layer_sizes[0])
-    labels = check_labels(labels, state.spec.n_classes, n=len(features))
-    return _softmax_ce(_logits(features, state), labels)
+    logits = _logits(features, state)
+    return _softmax_ce(logits, check_labels(labels, state.spec.n_classes, n=len(logits)))
 
 
 def predict_labels(features, state: NetworkState) -> np.ndarray:
@@ -422,11 +421,11 @@ def predict_labels(features, state: NetworkState) -> np.ndarray:
 
 def evaluate_error(features, labels, state: NetworkState) -> float:
     """0-1 error of argmax predictions against the given labels."""
-    features = check_features(features, state.spec.layer_sizes[0])
-    labels = check_labels(labels, state.spec.n_classes, n=len(features))
+    predicted = predict_labels(features, state)
+    labels = check_labels(labels, state.spec.n_classes, n=len(predicted))
     if len(labels) == 0:
         raise ValueError("cannot evaluate on an empty set")
-    return float(np.mean(predict_labels(features, state) != labels))
+    return float(np.mean(predicted != labels))
 
 
 # ----- checkpoint file format -----
