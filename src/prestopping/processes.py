@@ -2,9 +2,8 @@
 
 Every seed scores its epochs in forked children (train_seed), and a
 Prestopping seed runs its Phase II in one beside Phase I. Every process is
-forked through _ForkedChild, and each ends with the process that forked it.
-A child's inbox spools its messages to an unlinked file, so the parent never
-waits for a child to read one.
+forked through _ForkedChild, with os.fork, and each ends with the process
+that forked it. A child and its parent talk over one _Channel each way.
 """
 
 from __future__ import annotations
@@ -13,11 +12,11 @@ import contextlib
 import ctypes
 import functools
 import itertools
-import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
+import select
 import signal
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -70,68 +69,89 @@ def _one_blas_thread():
         put(before)
 
 
-# bytes of a note, the length of one spooled message, in a child's inbox pipe
+# bytes of a note, the length of one spooled message, in a channel's pipe
 NOTE_BYTES = 8
 # niceness a child takes once it only scores, so that it yields the cores to training
 SCORING_NICENESS = 19
 PR_SET_PDEATHSIG = 1
-# this process's ends of the pipes, and the spools, of every running
-# _ForkedChild, process-wide because a fork copies every open descriptor: each
-# forked child closes its copies, so that it holds no end of another child's
-# pipes and keeps no other child's spool alive
+# this process's ends of the channels of every running _ForkedChild, process-wide
+# because a fork copies every open descriptor: each forked child closes its copies,
+# so it holds no end of another child's pipes and keeps no other child's spool alive
 _PARENT_ENDS: set = set()
 
 
-def _die_with_parent() -> None:
-    """Have the kernel SIGKILL this forked process when its parent exits.
-
-    Best effort and Linux only. A parent that died before the call took
-    effect has already left this process to another parent, so it exits at
-    once. Without this, a CLI killed by a signal would leave its children
-    running, and seed processes writing run directories.
-    """
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this forked process when parent, its parent, exits
+    (best effort, Linux only), and exit at once if parent is gone already:
+    else a CLI killed by a signal would leave its children writing run directories."""
     with contextlib.suppress(AttributeError, OSError):
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
         prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != multiprocessing.parent_process().pid:
+    if os.getppid() != parent:
         os._exit(1)
 
 
-def _inbox(notes, spool):
-    """A child's inbox: each message the parent's send() spooled, in the order
-    sent, until the parent closes its end of the notes pipe.
-
-    Each message lies pickled in the spool, an unlinked file, right after the
-    one before it; the notes pipe carries only its length.
-    """
-    read = 0
-    while len(note := notes.read(NOTE_BYTES)) == NOTE_BYTES:
-        size = int.from_bytes(note, "little")
-        yield pickle.loads(os.pread(spool.fileno(), size, read))
-        read += size
+def _flush_std_streams() -> None:
+    """Flush sys.stdout and sys.stderr: text still buffered at a fork would be written twice."""
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, ValueError, OSError):
+            stream.flush()
 
 
-def _child_main(result_end, inbox, body, args) -> None:
-    """Forked child: runs body(hand_over, inbox, *args) and sends (outcome, warnings)
-    over result_end.
+class _Channel:
+    """Messages one way between two processes: each lies pickled in the spool,
+    an unlinked file, after the one before, and the pipe carries only its
+    length, so a send never waits for the receiver. Iterating yields each
+    message in order until every copy of the pipe's write end is closed."""
 
-    outcome is body's return value or the exception it raised; the warnings
-    it issued are re-issued by the parent. hand_over(value) sends value, and
-    the warnings issued so far, before the outcome. inbox is the _inbox the
-    parent's send() feeds. The child closes its copies of _PARENT_ENDS, its
-    own inbox's write end among them, so the parent closing its end reads as
-    EOF here, no other child's inbox waits on this one, and this one keeps no
-    other child's spool alive.
-    """
-    _die_with_parent()
-    for end in _PARENT_ENDS:
-        end.close()
-    _PARENT_ENDS.clear()
+    def __init__(self):
+        reader, writer = os.pipe()
+        self.reader, self.writer = open(reader, "rb", buffering=0), open(writer, "wb", buffering=0)
+        try:
+            self.spool = tempfile.TemporaryFile(buffering=0)
+        except OSError:
+            self.reader.close()
+            self.writer.close()
+            raise
+        self._passed = 0  # bytes of the spool sent, or received, so far
+
+    def send(self, message) -> None:
+        """Spool message; raises BrokenPipeError once no receiver is left."""
+        data = pickle.dumps(message)
+        rest = memoryview(data)
+        while rest:  # a write cut short by a full disk raises on the retry
+            written = os.pwrite(self.spool.fileno(), rest, self._passed)
+            rest, self._passed = rest[written:], self._passed + written
+        # one write of under PIPE_BUF bytes: a read gets the whole note or none of it
+        self.writer.write(len(data).to_bytes(NOTE_BYTES, "little"))
+
+    def __iter__(self):
+        while len(note := self.reader.read(NOTE_BYTES)) == NOTE_BYTES:
+            size = int.from_bytes(note, "little")
+            self._passed += size
+            yield pickle.loads(os.pread(self.spool.fileno(), size, self._passed - size))
+
+    def close(self) -> None:
+        for end in (self.reader, self.writer, self.spool):
+            end.close()
+        _PARENT_ENDS.discard(self)
+
+
+def _child_main(parent, inbox, outbox, body, args) -> None:
+    """Forked child of parent: sends body(hand_over, inbox, *args), or the exception
+    it raised, to outbox with the warnings it issued, which the parent re-issues;
+    hand_over(value) sends value first. It closes the parent's ends of its channels,
+    so that the parent's close() ends the inbox here, and all of _PARENT_ENDS."""
+    _die_with_parent(parent)
+    for channel in list(_PARENT_ENDS):
+        channel.close()
+    inbox.writer.close()
+    outbox.reader.close()
     with warnings.catch_warnings(record=True) as caught:
         def send(outcome):
-            result_end.send((outcome, [(w.message, w.category, w.filename, w.lineno)
-                                       for w in caught]))
+            outbox.send((outcome, [(w.message, w.category, w.filename, w.lineno)
+                                   for w in caught]))
             caught.clear()
 
         try:
@@ -145,83 +165,81 @@ def _child_main(result_end, inbox, body, args) -> None:
         send(outcome)
 
 
-def _close(*ends) -> None:
-    """Close those of this process's ends that are open, and drop them from _PARENT_ENDS."""
-    for end in ends:
-        if end is not None:
-            end.close()
-            _PARENT_ENDS.discard(end)
-
-
 class _ForkedChild:
-    """At most one forked child process of one seed, whose result comes back over a pipe.
-
-    The child starts from a copy-on-write image of this process, so nothing
-    is pickled on the way in. The caller must run no other threads (the CLI
-    process and its seed processes run none).
-    """
+    """At most one child process of one seed, forked with os.fork, with a _Channel
+    each way. The child starts from a copy-on-write image of this process, so
+    nothing is pickled on the way in. The caller must run no other threads (the
+    CLI process and its seed processes run none)."""
 
     def __init__(self, seed: int, what: str):
         self.seed, self.what = seed, what
-        self._proc = self._conn = self._inbox = self._spool = None
+        # the pid until reaped, the inbox until closed, the outbox until stopped
+        self._pid = self._inbox = self._outbox = None
 
     def start(self, body, *args) -> None:
         """Kill and reap the running child, if any, then fork one running
-        body(hand_over, inbox, *args).
-
-        handover() returns the value passed to hand_over before result()
-        returns body's. inbox yields each message send() sent, in order, and
-        ends once close() or result() is called.
-        """
+        body(hand_over, inbox, *args); a failed fork closes what was opened for
+        it and raises its OSError. handover() returns the value passed to
+        hand_over before result() returns body's. inbox yields each message
+        send() sent, in order, until close() or result() is called."""
         self.stop()
-        fork = multiprocessing.get_context("fork")
-        self._conn, result_end = fork.Pipe(duplex=False)
-        reader, writer = os.pipe()
-        self._inbox = open(writer, "wb", buffering=0)
-        _PARENT_ENDS.update((self._conn, self._inbox))
-        self._spool, self._sent = tempfile.TemporaryFile(buffering=0), 0
-        notes = open(reader, "rb")
-        self._proc = fork.Process(target=_child_main, name=f"{self.what} of seed {self.seed}",
-                                  args=(result_end, _inbox(notes, self._spool), body, args))
-        self._proc.start()
-        # the child holds the only other ends: its death reads as EOF, and
-        # sending to a dead child raises BrokenPipeError
-        result_end.close()
-        notes.close()
-        # only now: this child keeps its copy of the spool, children forked later close theirs
-        _PARENT_ENDS.add(self._spool)
+        parent = os.getpid()
+        try:
+            self._inbox = _Channel()
+            self._outbox = _Channel()
+            _flush_std_streams()
+            pid = os.fork()
+        except OSError:
+            self.stop()
+            raise
+        if pid == 0:  # the child, which never returns into the caller's stack
+            code = 1
+            try:
+                _child_main(parent, self._inbox, self._outbox, body, args)
+                code = 0
+            except BaseException:  # reported here: the child never unwinds into the caller
+                sys.excepthook(*sys.exc_info())
+            finally:
+                _flush_std_streams()
+                os._exit(code)
+        self._pid = pid
+        # the child holds the only other ends: its death ends the outbox and breaks the inbox
+        self._inbox.reader.close()
+        self._outbox.writer.close()
+        _PARENT_ENDS.update((self._inbox, self._outbox))
 
     def send(self, message) -> None:
         """Spool message for the child's inbox without waiting for the child to
         read it; a child that stopped reading fails as in result()."""
-        data = pickle.dumps(message)
-        rest = memoryview(data)
-        while rest:  # a write cut short by a full disk raises on the retry
-            written = os.pwrite(self._spool.fileno(), rest, self._sent)
-            rest, self._sent = rest[written:], self._sent + written
         try:
-            self._inbox.write(len(data).to_bytes(NOTE_BYTES, "little"))
+            self._inbox.send(message)
         except BrokenPipeError:
             self.result()
             raise
 
+    def _reap(self) -> int:
+        """Wait for the child to exit, forget its pid; its exit code (-N for signal N)."""
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        return os.waitstatus_to_exitcode(status)
+
     def stop(self) -> None:
-        """Kill and reap the running child, if any."""
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc.join()
-            _close(self._conn, self._inbox, self._spool)
-            self._proc = self._conn = self._inbox = self._spool = None
+        """Kill and reap the child, unless it is reaped already, and close both channels."""
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+        for channel in filter(None, (self._inbox, self._outbox)):
+            channel.close()
+        self._inbox = self._outbox = None
 
     def handover(self):
         """Wait for the value the child hands over, or for body's outcome once
         nothing more is handed over: its return value, or its exception."""
-        try:
-            outcome, caught = self._conn.recv()
-        except EOFError:
-            self._proc.join()
+        received = next(iter(self._outbox), None)
+        if received is None:
             raise RuntimeError(f"seed {self.seed}: {self.what} exited with code "
-                               f"{self._proc.exitcode} without a result") from None
+                               f"{self._reap()} without a result")
+        outcome, caught = received
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
         if isinstance(outcome, BaseException):
@@ -231,14 +249,15 @@ class _ForkedChild:
     def close(self) -> None:
         """Close the inbox: the child's inbox ends once it has yielded every
         message sent. Nothing can be sent after this."""
-        _close(self._inbox, self._spool)
-        self._inbox = self._spool = None
+        if self._inbox is not None:
+            self._inbox.close()
+        self._inbox = None
 
     def result(self):
         """Close the inbox, then wait for the child: body's return value, or its exception."""
         self.close()
         outcome = self.handover()
-        self._proc.join()
+        self._reap()
         return outcome
 
 
@@ -351,16 +370,19 @@ def run_seeds(fn, seeds, workers: int, *args) -> list:
     if min(workers, len(seeds)) <= 1:
         return [_outcome(fn, *args, seed) for seed in seeds]
     waiting = (_ForkedChild(seed, "seed process") for seed in seeds)
-    running, outcomes = {}, {}
+    running, outcomes = {}, {}  # running: each child by its outbox's read end
     try:
         while True:
-            for child in itertools.islice(waiting, workers - len(running)):
-                child.start(_run_seed, fn, child.seed, args)
-                running[child._conn] = child
+            while len(running) < workers and (child := next(waiting, None)) is not None:
+                try:  # a seed process that cannot fork fails its own seed, as one that dies
+                    child.start(_run_seed, fn, child.seed, args)
+                    running[child._outbox.reader] = child
+                except OSError as exc:
+                    outcomes[child.seed] = exc
             if not running:
                 return [outcomes[seed] for seed in seeds]
-            for conn in multiprocessing.connection.wait(list(running)):
-                child = running.pop(conn)
+            for reader in select.select(list(running), [], [])[0]:
+                child = running.pop(reader)
                 outcomes[child.seed] = _outcome(child.result)
                 child.stop()
     finally:

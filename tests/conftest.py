@@ -5,7 +5,7 @@ so each configuration is trained once per session and reused by every test
 that inspects it.
 """
 
-import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -22,10 +22,12 @@ SEEDS = (0, 1, 2)
 
 @pytest.fixture(autouse=True)
 def no_leaked_children():
-    """No test leaves a forked child behind, nor this process's end of one's
-    pipes or spool: a leaked spool keeps every message it was sent."""
+    """No test leaves a child process behind, running or exited and unreaped, nor
+    this process's end of a child's channels: a leaked spool keeps every message
+    it was sent."""
     yield
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # this process has no child at all
+        os.waitpid(-1, os.WNOHANG)
     assert processes._PARENT_ENDS == set()
 
 

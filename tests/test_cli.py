@@ -3,7 +3,6 @@
 import contextlib
 import dataclasses
 import json
-import multiprocessing
 import os
 import select
 import signal
@@ -384,7 +383,7 @@ def test_seed_processes_never_outnumber_jobs_or_seeds(tmp_path, monkeypatch):
         most[0] = max(most[0], alive[0])
 
     def counted_stop(self):
-        alive[0] -= self._proc is not None
+        alive[0] -= self._outbox is not None  # started and not yet stopped
         stop(self)
 
     marker = tmp_path / "seed2_started"
@@ -772,8 +771,25 @@ def serial_and_overlapped(cfg, seed):
     return [(result, serial), (o_result, overlapped)]
 
 
-def phase2_children() -> list:
-    return [p for p in multiprocessing.active_children() if p.name.startswith("Phase II")]
+def running(pid) -> bool:
+    """Whether pid is a child of this process that has not exited."""
+    try:
+        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+    except ChildProcessError:  # reaped, or never a child of this process
+        return False
+
+
+def phase2_children(monkeypatch):
+    """A function listing the running Phase II processes among those started from now on."""
+    pids, start = [], processes._ForkedChild.start
+
+    def recorded(self, body, *args):
+        start(self, body, *args)
+        if self.what == "Phase II process":
+            pids.append(self._pid)
+
+    monkeypatch.setattr(processes._ForkedChild, "start", recorded)
+    return lambda: [pid for pid in pids if running(pid)]
 
 
 def run_bytes(result, collector, work) -> dict:
@@ -858,7 +874,7 @@ def test_phase2_process_death_names_seed_and_exit_code(tmp_path, monkeypatch, ca
 
 
 def test_phase1_error_kills_the_running_phase2(tmp_path, monkeypatch, capsys):
-    phase1 = engine.phase1_train
+    phase1, children = engine.phase1_train, phase2_children(monkeypatch)
 
     def failing_after_checkpoint(*args, on_checkpoint, **kwargs):
         taken = []
@@ -866,7 +882,7 @@ def test_phase1_error_kills_the_running_phase2(tmp_path, monkeypatch, capsys):
         def restart_then_fail(ckpt):
             on_checkpoint(ckpt)
             taken.append(ckpt)
-            assert len(phase2_children()) == 1  # the old child is gone
+            assert len(children()) == 1  # the old child is gone
             if len(taken) == 2:
                 raise RuntimeError("phase one broke")
         return phase1(*args, on_checkpoint=restart_then_fail, **kwargs)
@@ -1134,7 +1150,8 @@ def test_the_scorer_is_done_with_before_the_retrain(tmp_path, monkeypatch):
     def checked(*args, **kw):
         scorer = children["scorer process"]
         # nothing reaches the scorer after Phase I: it scores its backlog and sends its result
-        seen.append((scorer._inbox is None, scorer._conn.poll(30)))
+        outbox = scorer._outbox.reader
+        seen.append((scorer._inbox is None, select.select([outbox], [], [], 30)[0] == [outbox]))
         return retrain(*args, **kw)
 
     monkeypatch.setattr(processes._ForkedChild, "start", recorded)
@@ -1153,8 +1170,7 @@ def test_scorer_death_names_seed_and_exit_code(tmp_path, monkeypatch, capsys):
 def test_send_to_a_dead_child_names_seed_and_exit_code():
     child = processes._ForkedChild(0, "scorer process")
     child.start(lambda hand_over, inbox: os._exit(3))
-    while multiprocessing.active_children():
-        time.sleep(0.01)
+    os.waitid(os.P_PID, child._pid, os.WEXITED | os.WNOWAIT)  # exited, not yet reaped
     with pytest.raises(RuntimeError) as err:
         child.send(np.zeros(100_000))  # more than a pipe buffer holds
     assert str(err.value) == "seed 0: scorer process exited with code 3 without a result"
@@ -1210,9 +1226,10 @@ def test_a_second_child_holds_no_descriptor_on_the_first_childs_spool():
     try:
         first.start(lambda hand_over, inbox: time.sleep(60))
         second.start(files_held)
-        spools = [os.fstat(child._spool.fileno()) for child in (first, second)]
+        spools = [os.fstat(channel.spool.fileno()) for child in (first, second)
+                  for channel in (child._inbox, child._outbox)]
         held = second.result()
-        assert [(s.st_dev, s.st_ino) in held for s in spools] == [False, True]
+        assert [(s.st_dev, s.st_ino) in held for s in spools] == [False, False, True, True]
     finally:
         first.stop()
         second.stop()
@@ -1248,13 +1265,31 @@ def test_processes_does_not_import_cli():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_cli_does_not_import_concurrent_futures():
-    # every process the CLI starts is a _ForkedChild: no executor is loaded; and
-    # load_config_file reads a config file's lines itself: no configparser either
+def test_cli_does_not_import_concurrent_futures(tmp_path):
+    # every process the CLI starts is a _ForkedChild, forked with os.fork: no
+    # executor and no multiprocessing is loaded, not even once a run with seed
+    # processes, scorers and Phase II children is done; and load_config_file
+    # reads a config file's lines itself: no configparser either
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = ("import sys, prestopping.cli; "
-            "sys.exit(any(m in sys.modules for m in ('concurrent.futures', 'configparser')))")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    flags = ["run"] + tiny_flags(tmp_path, method="prestopping_plus", seeds="0,1", jobs=2)
+    code = (f"import sys, prestopping.cli; assert prestopping.cli.main({flags!r}) == 0; "
+            "sys.exit(any(m in sys.modules for m in "
+            "('concurrent.futures', 'configparser', 'multiprocessing')))")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          stdout=subprocess.DEVNULL).returncode == 0
+    assert len(list(tmp_path.glob("prestopping_plus/pair_0.3/seed*/metrics.csv"))) == 2
+
+
+def test_output_printed_before_a_fork_is_written_once(tmp_path):
+    # piped, stdout is block-buffered: a child forked while the CLI's earlier
+    # lines were still buffered would write them again when it exits
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    flags = tiny_flags(tmp_path, method="prestopping_plus", seeds="0,1", jobs=1)
+    out = subprocess.run([sys.executable, "-m", "prestopping.cli", "grid-q", *flags,
+                          "--grid", "2,3"], env=env, capture_output=True, text=True).stdout
+    assert [line.split(":")[0] for line in out.splitlines() if " seed=" in line] == \
+        [f"prestopping_plus pair_0.3 q={q} seed={seed}" for q in (2, 3) for seed in (0, 1)]
 
 
 def test_scorer_error_fails_the_seed_as_in_a_serial_run(tmp_path, monkeypatch, capsys):

@@ -1,29 +1,34 @@
 """Seeded fault matrix for a run's processes.
 
-Two fixed random.Randoms draw the cells, one per matrix (FIRST, SECOND). A
-cell picks the process that fails (a seed process of a two-seed --jobs 2
-run, at its start or between two of its sends to its scorer; the scorer; the
-Phase II child before the handover, after it while it scores its own kept
-epochs, or while it scores the retrain's inbox), the way it fails (it
-raises, calls os._exit(3) or sends itself SIGKILL), the message at which it
-fails, the method, the failing seed and --jobs (1 or 2; a seed process runs
-only under 2). The fault is injected through test-side wrappers of
-processes._run_seed, processes.train_seed, engine.phase2_train,
-processes._ForkedChild.send and processes._scored's epoch iterator, which
-the forked processes inherit. Each cell reruns, into a copy of a clean run's
-output, and checks that the run fails with exit code 1 naming the seed and
-the process (or the raised text), that the failed seed keeps its earlier run
-directory, that the other seed writes the clean run's bytes, and that
-<out>/summary.json lists the failure; the autouse no_leaked_children fixture
+Two fixed random.Randoms draw the cells, one per matrix (FIRST, SECOND), and
+a third, fixed list (STARTS) has the start of a process fail. A cell picks
+the process that fails (a seed process of a two-seed --jobs 2 run, at its
+start or between two of its sends to its scorer; the scorer; the Phase II
+child before the handover, after it while it scores its own kept epochs, or
+while it scores the retrain's inbox), the way it fails (it raises, calls
+os._exit(3) or sends itself SIGKILL; or its fork fails with EAGAIN, or its
+outbox's spool with EMFILE), the message at which it fails, the method, the
+failing seed and --jobs (1 or 2; a seed process runs only under 2). The
+fault is injected through test-side wrappers of processes._run_seed,
+processes.train_seed, engine.phase2_train, processes._ForkedChild.send and
+.start, os.fork, tempfile.TemporaryFile and processes._scored's epoch
+iterator, which the forked processes inherit. Each cell reruns, into a copy
+of a clean run's output, and checks that the run fails with exit code 1
+naming the seed and the process (or the raised text), that the failed seed
+keeps its earlier run directory, that the other seed writes the clean run's
+bytes, that <out>/summary.json lists the failure, and that this process
+holds as many descriptors as before; the autouse no_leaked_children fixture
 checks that no child, pipe end or spool is left behind.
 """
 
+import errno
 import hashlib
 import os
 import random
 import re
 import shutil
 import signal
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -53,6 +58,14 @@ SECOND = {"seed between sends": (METHODS, (2,), EPOCHS),
           "phase2 after handover": (PRESTOPPING, (1, 2), 2),
           "phase2 retrain inbox": (("prestopping_plus",), (1, 2), EPOCHS)}
 MODES = ("raise", "exit", "kill")
+# the third list: the fork of a scorer, of a Phase II child and of a second seed
+# process fails, and so does the creation of a scorer's outbox spool
+STARTS = [("scorer", "fork", 1, "default", 1, 1),
+          ("phase2 before handover", "fork", 1, "prestopping_plus", 0, 1),
+          ("seed", "fork", 1, "prestopping", 1, 2),
+          ("scorer", "spool", 1, "prestopping", 0, 1)]
+EAGAIN = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+EMFILE = OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 WALL_SECONDS = re.compile(rb'("wall_seconds": )[^,\n}]*')
 
 
@@ -76,7 +89,7 @@ def draw_open_cells(rand):
     return cells
 
 
-CELLS = draw_cells(random.Random(8), 4) + draw_open_cells(random.Random(9))
+CELLS = draw_cells(random.Random(8), 4) + draw_open_cells(random.Random(9)) + STARTS
 IDS = ["-".join(map(str, c[:5])).replace(" ", "_") + ("-jobs1" if c[5] == 1 else "")
        for c in CELLS]
 assert len(set(IDS)) == len(IDS)  # pytest would rename a repeated id
@@ -93,6 +106,8 @@ def fail(mode, where):
 def inject(monkeypatch, cell):
     """Patch the fault of cell in; forked processes inherit the patches."""
     process, mode, k, _, failing, _ = cell
+    if mode in ("fork", "spool"):
+        return inject_start(monkeypatch, mode, NAMES[process], failing)
     where = f"the {process} of seed {failing}"
     seed = []  # the seed this process trains or scores, set once train_seed starts it
     run_seed, train_seed, phase2_train, scored = (
@@ -143,6 +158,33 @@ def inject(monkeypatch, cell):
     monkeypatch.setattr(processes, "_scored", scoring)
 
 
+def inject_start(monkeypatch, mode, what, failing):
+    """Have the start of the named process of seed failing fail: at its fork, or
+    at the spool of its outbox, the second spool it creates."""
+    start, fork, spool = processes._ForkedChild.start, os.fork, tempfile.TemporaryFile
+    starting, spools = [], []  # (what, seed) of the child being started; its spools
+
+    def recorded(child, body, *args):
+        starting[:] = [(child.what, child.seed)]
+        start(child, body, *args)
+
+    def failing_fork():
+        if mode == "fork" and starting == [(what, failing)]:
+            raise EAGAIN
+        return fork()
+
+    def failing_spool(*args, **kwargs):
+        if mode == "spool" and starting == [(what, failing)]:
+            spools.append(None)
+            if len(spools) == 2:
+                raise EMFILE
+        return spool(*args, **kwargs)
+
+    monkeypatch.setattr(processes._ForkedChild, "start", recorded)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(tempfile, "TemporaryFile", failing_spool)
+
+
 def digests(root: Path) -> dict:
     """{relative path: sha256} of the files below root, wall_seconds masked."""
     def masked(path):
@@ -177,12 +219,15 @@ def test_a_failing_process_fails_its_seed_alone(cell, clean_runs, tmp_path, monk
     before = [digests(d) for d in seed_dirs]
     inject(monkeypatch, cell)
     capsys.readouterr()
+    descriptors = os.listdir("/dev/fd")
     assert cli.main(argv(out, method, jobs)) == 1
+    assert len(os.listdir("/dev/fd")) == len(descriptors)
     name = NAMES[process]
     error = {"raise": f"RuntimeError: injected fault in the {process} of seed {failing}",
              "exit": f"RuntimeError: seed {failing}: {name} exited with code 3 without a result",
              "kill": f"RuntimeError: seed {failing}: {name} exited with code -9 without a "
-                     f"result"}[mode]
+                     f"result",
+             "fork": f"BlockingIOError: {EAGAIN}", "spool": f"OSError: {EMFILE}"}[mode]
     assert f"seed {failing} failed: {error}\n" in capsys.readouterr().err
     summary = metrics.read_summary_json(out / "summary.json")
     assert summary["failures"] == [{"seed": failing, "error": error,
